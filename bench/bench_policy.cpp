@@ -145,7 +145,7 @@ void print_bandwidth_table() {
 
   for (int i = 0; i < 12; ++i) {
     primary.distrust(
-        corpus.roots()[static_cast<std::size_t>(i)].cert->fingerprint_hex(),
+        corpus.roots()[static_cast<std::size_t>(i)].cert->fingerprint(),
         "routine removal");
     feed.publish(primary, 100 + i, "update");
     full.poll_now(1000 + i);

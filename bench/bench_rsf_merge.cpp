@@ -41,7 +41,7 @@ struct MergeFixture {
     }
     for (int i = 0; i < 16; ++i) {
       x509::CertPtr removed = make_root("Removed Root " + std::to_string(i));
-      primary.distrust(removed->fingerprint_hex(), "removed by primary");
+      primary.distrust(removed->fingerprint(), "removed by primary");
       (void)derivative.add_trusted(removed);  // Amazon-Linux-style re-add
     }
     for (int i = 0; i < 5; ++i) {

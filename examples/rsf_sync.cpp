@@ -60,13 +60,13 @@ int main() {
               static_cast<unsigned long long>(client.stats().merge_conflicts));
 
   // --- An incident ------------------------------------------------------------
-  primary.distrust(beta->fingerprint_hex(), "Beta Root CA key compromise");
+  primary.distrust(beta->fingerprint(), "Beta Root CA key compromise");
   feed.publish(primary, t0 + 30 * 86400, "emergency: distrust Beta");
 
   client.run_until(t0 + 30 * 86400 + 3600);
   std::printf("after emergency  : %zu trusted, Beta state = %s\n",
               client.store().trusted_count(),
-              client.store().state_of(beta->fingerprint_hex()) ==
+              client.store().state_of(beta->fingerprint()) ==
                       rootstore::TrustState::kDistrusted
                   ? "DISTRUSTED (negative inclusion)"
                   : "trusted?!");
@@ -75,7 +75,7 @@ int main() {
               static_cast<unsigned long long>(client.stats().merge_conflicts));
 
   // --- Tampering is detected ---------------------------------------------------
-  primary.distrust(gamma->fingerprint_hex(), "not really -- attacker edit");
+  primary.distrust(gamma->fingerprint(), "not really -- attacker edit");
   feed.publish(primary, t0 + 31 * 86400, "third release");
   // An attacker rewrites the snapshot in flight.
   feed.mutable_at(3)->payload += "trusted " + std::string(64, '0') + "\n";

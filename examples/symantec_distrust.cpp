@@ -21,7 +21,9 @@ int main() {
   // hashes in place of "exempt(...)").
   const auto& gccs = symantec.store.gccs().for_root(symantec.affected_roots[0]);
   std::printf("--- GCC attached to %s... ---\n%s\n",
-              symantec.affected_roots[0].substr(0, 16).c_str(),
+              to_hex(BytesView(symantec.affected_roots[0]))
+                  .substr(0, 16)
+                  .c_str(),
               gccs[0].source().c_str());
 
   // Distribute it over an RSF.

@@ -205,7 +205,7 @@ Response TrustDaemon::execute_fallback(const Request& request,
       response.stats.chain_len = static_cast<std::uint32_t>(chain.size());
       response.stats.epoch = config_.store->epoch();
       const auto gccs =
-          config_.store->gccs_for_root(chain.back()->fingerprint_hex());
+          config_.store->gccs_for_root(chain.back()->fingerprint());
       response.ok = true;
       if (!gccs.empty()) {
         core::GccVerdict verdict =

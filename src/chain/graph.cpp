@@ -63,7 +63,7 @@ const GraphNode* CertificateGraph::node_of(
 const x509::CertPtr* distrusted_member(const GraphNode& node,
                                        const rootstore::StoreReader& store) {
   for (const x509::CertPtr& cert : node.certs) {
-    if (store.state_of(cert->fingerprint_hex()) ==
+    if (store.state_of(cert->fingerprint()) ==
         rootstore::TrustState::kDistrusted) {
       return &cert;
     }

@@ -3,28 +3,9 @@
 #include <algorithm>
 #include <chrono>
 
-#include "util/sha256.hpp"
-
 namespace anchor::chain {
 
 namespace {
-
-// SHA-256 over the DER path, leaf-first. Length-prefixing each element
-// keeps concatenation unambiguous (two different splits of the same byte
-// stream cannot collide).
-std::string chain_fingerprint(const core::Chain& chain) {
-  Sha256 hasher;
-  for (const x509::CertPtr& cert : chain) {
-    const Bytes& der = cert->der();
-    std::uint64_t len = der.size();
-    std::uint8_t prefix[8];
-    for (int i = 0; i < 8; ++i) prefix[i] = static_cast<std::uint8_t>(len >> (8 * i));
-    hasher.update(BytesView(prefix, sizeof prefix));
-    hasher.update(BytesView(der));
-  }
-  const Sha256::Digest digest = hasher.finish();
-  return to_hex(BytesView(digest));
-}
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -37,13 +18,14 @@ std::uint64_t now_ns() {
 
 std::size_t VerifyService::VerdictKeyHash::operator()(
     const VerdictKey& key) const {
-  std::size_t h = std::hash<std::string>{}(key.chain_fp);
-  h ^= std::hash<std::string>{}(key.root_hash) + 0x9e3779b97f4a7c15ULL +
-       (h << 6) + (h >> 2);
-  h ^= std::hash<std::string>{}(key.usage) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-       (h >> 2);
-  h ^= std::hash<std::uint64_t>{}(key.epoch) + 0x9e3779b97f4a7c15ULL +
-       (h << 6) + (h >> 2);
+  std::size_t h = std::hash<std::string>{}(key.usage);
+  const auto mix = [&h](std::size_t v) {
+    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  };
+  mix(std::hash<std::uint64_t>{}(key.epoch));
+  for (const Sha256::Digest& fingerprint : key.path) {
+    mix(DigestHash{}(fingerprint));
+  }
   return h;
 }
 
@@ -85,7 +67,7 @@ struct VerifyService::Snapshot {
   // Shared across threads read-only except via the gcc hook, whose only
   // mutable state is the service's striped caches and atomics. Calls that
   // carry chain-external context facts bypass the verdict cache entirely:
-  // the cache key covers only (epoch, root, chain, usage), so a verdict
+  // the cache key covers only (epoch, usage, path), so a verdict
   // that also depended on caller-supplied context would be unsound to
   // memoize or to replay for a caller with different context.
   bool evaluate_gccs(VerifyService& service, const core::Chain& chain,
@@ -105,8 +87,11 @@ struct VerifyService::Snapshot {
       if (!v.allowed) verdict.failed_gcc = v.failed_gcc;
       return v.allowed;
     }
-    VerdictKey key{epoch, chain.back()->fingerprint_hex(),
-                   chain_fingerprint(chain), std::string(usage)};
+    VerdictKey key{epoch, std::string(usage), {}};
+    key.path.reserve(chain.size());
+    for (const x509::CertPtr& cert : chain) {
+      key.path.push_back(cert->fingerprint());
+    }
     CachedVerdict cached;
     if (service.verdict_cache_.get(key, cached)) {
       service.verdict_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -327,18 +312,13 @@ std::vector<VerifyResult> VerifyService::verify_batch(
 }
 
 Result<x509::CertPtr> VerifyService::parse_cached(BytesView der) {
-  const std::string key = Sha256::hash_hex(der);
-  x509::CertPtr cached;
-  if (cert_cache_.get(key, cached)) {
-    cert_hits_.fetch_add(1, std::memory_order_relaxed);
+  if (x509::CertPtr cached = cert_cache_.find(der)) {
     m_cert_hit_.add();
     return cached;
   }
-  cert_misses_.fetch_add(1, std::memory_order_relaxed);
   m_cert_miss_.add();
   auto parsed = x509::Certificate::parse(der);
-  if (!parsed) return parsed;
-  cert_cache_.put(key, parsed.value());
+  if (parsed) cert_cache_.insert(parsed.value());
   return parsed;
 }
 
@@ -378,7 +358,7 @@ VerifyService::GccsOutcome VerifyService::evaluate_gccs_detail(
   }
   outcome.allowed = true;
   const auto gccs =
-      snapshot->reader->gccs_for_root(chain.back()->fingerprint_hex());
+      snapshot->reader->gccs_for_root(chain.back()->fingerprint());
   if (!gccs.empty()) {
     outcome.allowed = snapshot->evaluate_gccs(*this, chain, usage, gccs,
                                               nullptr, outcome.verdict);
@@ -455,8 +435,8 @@ ServiceStats VerifyService::stats() const {
   ServiceStats out;
   out.verdict_hits = verdict_hits_.load(std::memory_order_relaxed);
   out.verdict_misses = verdict_misses_.load(std::memory_order_relaxed);
-  out.cert_hits = cert_hits_.load(std::memory_order_relaxed);
-  out.cert_misses = cert_misses_.load(std::memory_order_relaxed);
+  out.cert_hits = cert_cache_.hits();
+  out.cert_misses = cert_cache_.misses();
   out.verdict_bypass = verdict_bypass_.load(std::memory_order_relaxed);
   out.evictions = verdict_cache_.evictions() + cert_cache_.evictions();
   out.epoch_flushes = epoch_flushes_.load(std::memory_order_relaxed);

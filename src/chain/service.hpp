@@ -6,14 +6,16 @@
 // the service adds:
 //
 //   * a worker pool (util/threadpool) for async/batch submission;
-//   * a sharded, mutex-striped GCC-verdict cache keyed by
-//     (root hash, chain fingerprint = SHA-256 over the DER path, usage,
-//     store epoch) — same chain + same GCC set evaluates to the same
-//     verdict because GCCs are pure stratified Datalog over chain facts,
-//     so memoizing the Boolean is sound (DESIGN.md, "Verification service
-//     & cache coherence");
-//   * a parsed-certificate cache keyed by DER hash, shared by the
-//     DER-boundary entry points (TrustDaemon routing);
+//   * a sharded, mutex-striped GCC-verdict cache keyed by (store epoch,
+//     usage, the path's certificate fingerprints leaf-first) — the
+//     32-byte SHA-256 each Certificate computed once at parse time, so a
+//     lookup hashes nothing and renders no hex. The root is the last
+//     fingerprint, so the key names the GCC set too; same chain + same
+//     GCC set evaluates to the same verdict because GCCs are pure
+//     stratified Datalog over chain facts, so memoizing the Boolean is
+//     sound (DESIGN.md, "Why verdict caching is sound");
+//   * a parsed-certificate cache keyed on the request DER bytes
+//     (chain/cert_cache.hpp), shared by the DER-boundary entry points;
 //   * RCU-style store snapshots: verification runs against an immutable
 //     copy of the RootStore, so no lock is held during path construction
 //     or Datalog evaluation. Mutations flow through mutate(), which
@@ -32,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "chain/cert_cache.hpp"
 #include "chain/verifier.hpp"
 #include "datalog/eval.hpp"
 #include "rootstore/snapshot/view.hpp"
@@ -170,10 +173,12 @@ class VerifyService {
   struct Snapshot;
 
   struct VerdictKey {
-    std::uint64_t epoch;
-    std::string root_hash;   // hex fingerprint of the candidate root
-    std::string chain_fp;    // hex SHA-256 over the chain's DER, leaf-first
+    std::uint64_t epoch = 0;
     std::string usage;
+    // Certificate::fingerprint() of each path element, leaf-first; the
+    // last one is the candidate root. Fixed width, so the sequence needs
+    // no length prefixes to be unambiguous.
+    std::vector<Sha256::Digest> path;
     bool operator==(const VerdictKey&) const = default;
   };
   struct VerdictKeyHash {
@@ -217,14 +222,12 @@ class VerifyService {
   std::shared_ptr<const Snapshot> snapshot_;
 
   ShardedLruCache<VerdictKey, CachedVerdict, VerdictKeyHash> verdict_cache_;
-  ShardedLruCache<std::string, x509::CertPtr> cert_cache_;
+  CertCache<> cert_cache_;
   ThreadPool pool_;
 
   // Counters are plain atomics: hot-path increments, no locks.
   std::atomic<std::uint64_t> verdict_hits_{0};
   std::atomic<std::uint64_t> verdict_misses_{0};
-  std::atomic<std::uint64_t> cert_hits_{0};
-  std::atomic<std::uint64_t> cert_misses_{0};
   std::atomic<std::uint64_t> verdict_bypass_{0};
   std::atomic<std::uint64_t> epoch_flushes_{0};
   std::atomic<std::uint64_t> stale_purged_{0};

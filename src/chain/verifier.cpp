@@ -36,7 +36,7 @@ ChainVerifier::ChainVerifier(const rootstore::StoreReader& store,
 
 struct ChainVerifier::SearchState {
   core::Chain path;  // leaf-first
-  std::unordered_set<std::string> visited;
+  std::unordered_set<Sha256::Digest, DigestHash> visited;
   const CertificatePool* pool = nullptr;
 };
 
@@ -197,7 +197,7 @@ std::optional<Fault> ChainVerifier::check_at_root(
   }
 
   if (options.run_gccs) {
-    const auto& gccs = store_.gccs_for_root(chain.back()->fingerprint_hex());
+    const auto gccs = store_.gccs_for_root(chain.back()->fingerprint());
     if (!gccs.empty() &&
         !gcc_hook_(chain, usage_name(options.usage), gccs,
                    options.gcc_context, result.gcc_verdict)) {
@@ -225,9 +225,11 @@ bool ChainVerifier::extend(SearchState& state, const VerifyOptions& options,
 
   // Option 1: terminate at a trusted root that issued `current` (respecting
   // the depth bound on the completed chain).
-  for (const rootstore::RootEntry* entry : store_.trusted()) {
-    if (state.path.size() >= options.max_depth) break;
-    if (!(entry->cert->subject() == current->issuer())) continue;
+  const std::span<const rootstore::RootEntry* const> anchors =
+      state.path.size() < options.max_depth
+          ? store_.trusted_by_subject(current->issuer())
+          : std::span<const rootstore::RootEntry* const>{};
+  for (const rootstore::RootEntry* entry : anchors) {
     if (entry->cert->fingerprint() == current->fingerprint()) continue;
     if (out_of_budget()) return false;
     ++result.paths_explored;
@@ -250,7 +252,7 @@ bool ChainVerifier::extend(SearchState& state, const VerifyOptions& options,
   // Option 2: the current certificate is itself a trusted root (e.g. a
   // chain the server terminated at the anchor).
   if (const rootstore::RootEntry* entry =
-          store_.find(current->fingerprint_hex());
+          store_.find(current->fingerprint());
       entry != nullptr && state.path.size() > 1) {
     if (out_of_budget()) return false;
     ++result.paths_explored;
@@ -289,7 +291,7 @@ bool ChainVerifier::extend(SearchState& state, const VerifyOptions& options,
       }
     }
     for (const x509::CertPtr& candidate : node->certs) {
-      const std::string hash = candidate->fingerprint_hex();
+      const Sha256::Digest& hash = candidate->fingerprint();
       if (state.visited.contains(hash)) continue;
       if (auto link = check_link(*current, *candidate, state.path.size() - 1,
                                  options)) {
@@ -320,7 +322,7 @@ VerifyResult ChainVerifier::verify(const x509::CertPtr& leaf,
   }
   SearchState state;
   state.path.push_back(leaf);
-  state.visited.insert(leaf->fingerprint_hex());
+  state.visited.insert(leaf->fingerprint());
   state.pool = &pool;
   if (!extend(state, options, result)) {
     if (result.error.empty()) {
@@ -350,8 +352,8 @@ std::vector<std::vector<std::string>> ChainVerifier::enumerate_paths(
   std::set<std::vector<std::string>> seen;
   core::Chain path;
   path.push_back(leaf);
-  std::unordered_set<std::string> visited;
-  visited.insert(leaf->fingerprint_hex());
+  std::unordered_set<Sha256::Digest, DigestHash> visited;
+  visited.insert(leaf->fingerprint());
 
   auto fingerprints = [](const core::Chain& chain) {
     std::vector<std::string> fps;
@@ -368,8 +370,8 @@ std::vector<std::vector<std::string>> ChainVerifier::enumerate_paths(
     if (out.size() >= max_paths) return;
     const x509::CertPtr current = path.back();
     if (path.size() < max_depth) {
-      for (const rootstore::RootEntry* entry : store_.trusted()) {
-        if (!(entry->cert->subject() == current->issuer())) continue;
+      for (const rootstore::RootEntry* entry :
+           store_.trusted_by_subject(current->issuer())) {
         if (entry->cert->fingerprint() == current->fingerprint()) continue;
         core::Chain candidate = path;
         candidate.push_back(entry->cert);
@@ -377,14 +379,14 @@ std::vector<std::vector<std::string>> ChainVerifier::enumerate_paths(
         if (out.size() >= max_paths) return;
       }
     }
-    if (path.size() > 1 && store_.find(current->fingerprint_hex()) != nullptr) {
+    if (path.size() > 1 && store_.find(current->fingerprint()) != nullptr) {
       emit(path);
       if (out.size() >= max_paths) return;
     }
     if (path.size() >= max_depth) return;
     for (const GraphNode* node : pool.nodes_for_subject(current->issuer())) {
       for (const x509::CertPtr& candidate : node->certs) {
-        const std::string hash = candidate->fingerprint_hex();
+        const Sha256::Digest& hash = candidate->fingerprint();
         if (visited.contains(hash)) continue;
         visited.insert(hash);
         path.push_back(candidate);

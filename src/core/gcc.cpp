@@ -74,12 +74,21 @@ datalog::Program expand_head_wildcards(const datalog::Program& program) {
 
 }  // namespace
 
-Result<Gcc> Gcc::create(std::string name, std::string root_hash_hex,
+Result<Gcc> Gcc::create(std::string name, std::string_view root_hash_hex,
                         std::string source, std::string justification) {
   if (name.empty()) return err("gcc: name required");
-  if (root_hash_hex.size() != 64) {
-    return err("gcc '" + name + "': root hash must be SHA-256 hex (64 chars)");
+  const auto root_hash = digest_from_hex(root_hash_hex);
+  if (!root_hash) {
+    return err("gcc '" + name +
+               "': root hash must be SHA-256 hex (64 lowercase hex chars)");
   }
+  return create(std::move(name), *root_hash, std::move(source),
+                std::move(justification));
+}
+
+Result<Gcc> Gcc::create(std::string name, const Sha256::Digest& root_hash,
+                        std::string source, std::string justification) {
+  if (name.empty()) return err("gcc: name required");
   auto parsed = datalog::parse_program(source);
   if (!parsed) return err("gcc '" + name + "': " + parsed.error());
 
@@ -106,7 +115,7 @@ Result<Gcc> Gcc::create(std::string name, std::string root_hash_hex,
 
   Gcc gcc;
   gcc.name_ = std::move(name);
-  gcc.root_hash_hex_ = std::move(root_hash_hex);
+  gcc.root_hash_ = root_hash;
   gcc.source_ = std::move(source);
   gcc.justification_ = std::move(justification);
   gcc.program_ = std::move(program);
@@ -119,24 +128,21 @@ Result<Gcc> Gcc::for_certificate(std::string name,
                                  const x509::Certificate& root,
                                  std::string source,
                                  std::string justification) {
-  return create(std::move(name), root.fingerprint_hex(), std::move(source),
+  return create(std::move(name), root.fingerprint(), std::move(source),
                 std::move(justification));
 }
 
 Result<Gcc> Gcc::from_compiled(
-    std::string name, std::string root_hash_hex, std::string source,
+    std::string name, const Sha256::Digest& root_hash, std::string source,
     std::string justification,
     std::shared_ptr<const datalog::CompiledProgram> compiled) {
   if (name.empty()) return err("gcc: name required");
-  if (root_hash_hex.size() != 64) {
-    return err("gcc '" + name + "': root hash must be SHA-256 hex (64 chars)");
-  }
   if (compiled == nullptr) {
     return err("gcc '" + name + "': compiled program required");
   }
   Gcc gcc;
   gcc.name_ = std::move(name);
-  gcc.root_hash_hex_ = std::move(root_hash_hex);
+  gcc.root_hash_ = root_hash;
   gcc.source_ = std::move(source);
   gcc.justification_ = std::move(justification);
   gcc.compiled_ = std::move(compiled);
@@ -144,7 +150,7 @@ Result<Gcc> Gcc::from_compiled(
 }
 
 bool GccStore::attach(Gcc gcc) {
-  auto& list = by_root_[gcc.root_hash_hex()];
+  auto& list = by_root_[gcc.root_hash()];
   // Re-attaching under the same name replaces (feed updates overwrite).
   for (auto& existing : list) {
     if (existing.name() == gcc.name()) {
@@ -164,9 +170,9 @@ bool GccStore::attach(Gcc gcc) {
   return true;
 }
 
-bool GccStore::detach(const std::string& root_hash_hex,
+bool GccStore::detach(const Sha256::Digest& root_hash,
                       const std::string& name) {
-  auto it = by_root_.find(root_hash_hex);
+  auto it = by_root_.find(root_hash);
   if (it == by_root_.end()) return false;
   auto& list = it->second;
   for (std::size_t i = 0; i < list.size(); ++i) {
@@ -181,14 +187,14 @@ bool GccStore::detach(const std::string& root_hash_hex,
 }
 
 const std::vector<Gcc>& GccStore::for_root(
-    const std::string& root_hash_hex) const {
+    const Sha256::Digest& root_hash) const {
   static const std::vector<Gcc> kEmpty;
-  auto it = by_root_.find(root_hash_hex);
+  auto it = by_root_.find(root_hash);
   return it == by_root_.end() ? kEmpty : it->second;
 }
 
-std::vector<std::string> GccStore::roots_sorted() const {
-  std::vector<std::string> roots;
+std::vector<Sha256::Digest> GccStore::roots_sorted() const {
+  std::vector<Sha256::Digest> roots;
   roots.reserve(by_root_.size());
   for (const auto& [hash, list] : by_root_) roots.push_back(hash);
   std::sort(roots.begin(), roots.end());

@@ -12,12 +12,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "datalog/ast.hpp"
 #include "datalog/compiled.hpp"
 #include "util/result.hpp"
+#include "util/sha256.hpp"
 #include "x509/certificate.hpp"
 
 namespace anchor::core {
@@ -25,9 +27,13 @@ namespace anchor::core {
 class Gcc {
  public:
   // `root_hash_hex` is the SHA-256 (lowercase hex) of the root certificate
-  // this constraint binds to. `justification` is free-form provenance (bug
-  // link, incident writeup) carried through RSF snapshots.
-  static Result<Gcc> create(std::string name, std::string root_hash_hex,
+  // this constraint binds to; it is parsed by digest_from_hex, so anything
+  // but 64 lowercase hex characters is rejected. `justification` is
+  // free-form provenance (bug link, incident writeup) carried through RSF
+  // snapshots.
+  static Result<Gcc> create(std::string name, std::string_view root_hash_hex,
+                            std::string source, std::string justification = "");
+  static Result<Gcc> create(std::string name, const Sha256::Digest& root_hash,
                             std::string source, std::string justification = "");
 
   // Convenience: bind to a parsed certificate.
@@ -44,12 +50,13 @@ class Gcc {
   // parsed AST (`program()`) is left empty — nothing on the verdict path
   // reads it (GccExecutor evaluates compiled() only).
   static Result<Gcc> from_compiled(
-      std::string name, std::string root_hash_hex, std::string source,
+      std::string name, const Sha256::Digest& root_hash, std::string source,
       std::string justification,
       std::shared_ptr<const datalog::CompiledProgram> compiled);
 
   const std::string& name() const { return name_; }
-  const std::string& root_hash_hex() const { return root_hash_hex_; }
+  const Sha256::Digest& root_hash() const { return root_hash_; }
+  std::string root_hash_hex() const { return to_hex(BytesView(root_hash_)); }
   const std::string& source() const { return source_; }
   const std::string& justification() const { return justification_; }
   const datalog::Program& program() const { return program_; }
@@ -62,7 +69,7 @@ class Gcc {
   }
 
   bool operator==(const Gcc& other) const {
-    return name_ == other.name_ && root_hash_hex_ == other.root_hash_hex_ &&
+    return name_ == other.name_ && root_hash_ == other.root_hash_ &&
            source_ == other.source_;
   }
 
@@ -70,7 +77,7 @@ class Gcc {
   Gcc() = default;
 
   std::string name_;
-  std::string root_hash_hex_;
+  Sha256::Digest root_hash_{};
   std::string source_;
   std::string justification_;
   datalog::Program program_;
@@ -88,17 +95,17 @@ class GccStore {
   // RootStore::epoch().
   bool attach(Gcc gcc);
   // Removes the named GCC from the given root; returns true if it existed.
-  bool detach(const std::string& root_hash_hex, const std::string& name);
+  bool detach(const Sha256::Digest& root_hash, const std::string& name);
 
   // All constraints bound to a root (empty if unconstrained).
-  const std::vector<Gcc>& for_root(const std::string& root_hash_hex) const;
+  const std::vector<Gcc>& for_root(const Sha256::Digest& root_hash) const;
 
   std::size_t total() const;
   std::size_t constrained_roots() const { return by_root_.size(); }
 
-  // Root hashes with at least one GCC, sorted — for deterministic
-  // serialization.
-  std::vector<std::string> roots_sorted() const;
+  // Root hashes with at least one GCC, sorted (bytewise, which is also the
+  // order of their hex forms) — for deterministic serialization.
+  std::vector<Sha256::Digest> roots_sorted() const;
 
   // Monotonic mutation counter (effective attach and successful detach).
   // RootStore::attach_gcc/detach_gcc consult the attach/detach return
@@ -107,7 +114,7 @@ class GccStore {
   std::uint64_t version() const { return version_; }
 
  private:
-  std::unordered_map<std::string, std::vector<Gcc>> by_root_;
+  std::unordered_map<Sha256::Digest, std::vector<Gcc>, DigestHash> by_root_;
   std::uint64_t version_ = 0;
 };
 

@@ -74,7 +74,7 @@ rootstore::RootStore make_mozilla_like(const Corpus& corpus) {
   }
   for (std::size_t i = 0; i < roots.size(); ++i) {
     if (i % 37 == 5) {
-      store.distrust(roots[i].cert->fingerprint_hex(), "census incident");
+      store.distrust(roots[i].cert->fingerprint(), "census incident");
     }
   }
   return store;
@@ -140,7 +140,7 @@ rootstore::RootStore make_apple_like(const Corpus& corpus) {
   }
   for (std::size_t i = 0; i < roots.size(); ++i) {
     if (i % 43 == 11) {
-      store.distrust(roots[i].cert->fingerprint_hex(), "census incident");
+      store.distrust(roots[i].cert->fingerprint(), "census incident");
     }
   }
   return store;
@@ -151,7 +151,7 @@ std::size_t count_gcc_divergent_roots(const rootstore::RootStore& a,
                                       const rootstore::RootStore& b) {
   std::size_t divergent = 0;
   for (const rootstore::RootEntry* entry : a.trusted()) {
-    const std::string hash = entry->cert->fingerprint_hex();
+    const Sha256::Digest& hash = entry->cert->fingerprint();
     if (b.state_of(hash) != rootstore::TrustState::kTrusted) continue;
     std::unordered_set<std::string> names_a, names_b;
     for (const core::Gcc& gcc : a.gccs().for_root(hash)) {
@@ -178,12 +178,12 @@ PrimaryStores make_primary_stores(const Corpus& corpus) {
   // The textproto is generated by this file; a parse failure is a bug
   // here, not a data problem.
   assert(parsed.ok());
-  std::unordered_map<std::string, x509::CertPtr> by_hash;
+  std::unordered_map<Sha256::Digest, x509::CertPtr, DigestHash> by_hash;
   for (const CaProfile& root : corpus.roots()) {
-    by_hash.emplace(root.cert->fingerprint_hex(), root.cert);
+    by_hash.emplace(root.cert->fingerprint(), root.cert);
   }
-  auto resolver = [&by_hash](const std::string& sha256_hex) -> x509::CertPtr {
-    auto it = by_hash.find(sha256_hex);
+  auto resolver = [&by_hash](const Sha256::Digest& sha256) -> x509::CertPtr {
+    auto it = by_hash.find(sha256);
     return it == by_hash.end() ? nullptr : it->second;
   };
   primaries.chrome_compile =
@@ -192,7 +192,7 @@ PrimaryStores make_primary_stores(const Corpus& corpus) {
   const auto& roots = corpus.roots();
   for (std::size_t i = 0; i < roots.size(); ++i) {
     if (i % 41 == 7) {
-      primaries.stores[1].distrust(roots[i].cert->fingerprint_hex(),
+      primaries.stores[1].distrust(roots[i].cert->fingerprint(),
                                    "census incident");
     }
   }
@@ -218,9 +218,9 @@ DisparityReport run_disparity_census(const Corpus& corpus,
     const CaProfile& issuer =
         corpus.intermediates()[static_cast<std::size_t>(
             leaf.issuer_intermediate)];
-    const std::string true_root =
+    const Sha256::Digest& true_root =
         corpus.roots()[static_cast<std::size_t>(issuer.parent_root)]
-            .cert->fingerprint_hex();
+            .cert->fingerprint();
 
     chain::VerifyOptions options;
     options.time = corpus.config().validation_time();

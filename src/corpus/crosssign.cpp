@@ -88,7 +88,7 @@ CrossSignDag make_cross_sign_dag(const CrossSignConfig& config) {
     CertPtr cert = issue_ca_cert(entities[i], entities[i]);
     dag.root_certs.push_back(cert);
     if (entities[i].distrusted) {
-      dag.store.distrust(cert->fingerprint_hex(), "corpus distrust");
+      dag.store.distrust(cert->fingerprint(), "corpus distrust");
     } else {
       (void)dag.store.add_trusted(cert);
     }

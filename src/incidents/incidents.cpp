@@ -119,7 +119,7 @@ Incident make_turktrust() {
   auto bad_int1 = pki.make_intermediate("e-islem.kktcmerkezbankasi.org", root);
   auto bad_int2 = pki.make_intermediate("EGO Genel Mudurlugu", root);
 
-  incident.affected_roots.push_back(root.cert->fingerprint_hex());
+  incident.affected_roots.push_back(root.cert->fingerprint());
   rootstore::RootMetadata metadata;
   metadata.ev_allowed = true;  // EV removal is expressed in the GCC below
   (void)incident.store.add_trusted(root.cert, metadata);
@@ -175,7 +175,7 @@ Incident make_tubitak() {
   auto root = pki.make_root("TUBITAK Kamu SM SSL Kok Sertifikasi", "TUBITAK");
   auto issuing = pki.make_intermediate("Kamu SM SSL Sertifika Hizmetleri", root);
 
-  incident.affected_roots.push_back(root.cert->fingerprint_hex());
+  incident.affected_roots.push_back(root.cert->fingerprint());
   (void)incident.store.add_trusted(root.cert);
   incident.pool.add(issuing.cert);
 
@@ -233,7 +233,7 @@ Incident make_anssi() {
   auto good_int = pki.make_intermediate("ANSSI Service CA", root);
   auto bad_int = pki.make_intermediate("DG Tresor", root);
 
-  incident.affected_roots.push_back(root.cert->fingerprint_hex());
+  incident.affected_roots.push_back(root.cert->fingerprint());
   (void)incident.store.add_trusted(root.cert);
   incident.pool.add(good_int.cert);
   incident.pool.add(bad_int.cert);
@@ -291,7 +291,7 @@ Incident make_india_cca() {
   auto good_int = pki.make_intermediate("e-Mudhra CA", root);
   auto bad_int = pki.make_intermediate("NIC CA 2011", root);
 
-  incident.affected_roots.push_back(root.cert->fingerprint_hex());
+  incident.affected_roots.push_back(root.cert->fingerprint());
   (void)incident.store.add_trusted(root.cert);
   incident.pool.add(good_int.cert);
   incident.pool.add(bad_int.cert);
@@ -346,7 +346,7 @@ Incident make_cnnic() {
   auto mcs_int = pki.make_intermediate("MCS Holdings CA", root);
   auto post_int = pki.make_intermediate("CNNIC SSL C (post-incident)", root);
 
-  incident.affected_roots.push_back(root.cert->fingerprint_hex());
+  incident.affected_roots.push_back(root.cert->fingerprint());
   (void)incident.store.add_trusted(root.cert);
   incident.pool.add(exempt_int1.cert);
   incident.pool.add(exempt_int2.cert);
@@ -404,8 +404,8 @@ Incident make_wosign() {
   auto wosign_int = pki.make_intermediate("WoSign Class 3 Server CA", wosign_root);
   auto startcom_int = pki.make_intermediate("StartCom Class 1 Server CA", startcom_root);
 
-  incident.affected_roots.push_back(wosign_root.cert->fingerprint_hex());
-  incident.affected_roots.push_back(startcom_root.cert->fingerprint_hex());
+  incident.affected_roots.push_back(wosign_root.cert->fingerprint());
+  incident.affected_roots.push_back(startcom_root.cert->fingerprint());
   (void)incident.store.add_trusted(wosign_root.cert);
   (void)incident.store.add_trusted(startcom_root.cert);
   incident.pool.add(wosign_int.cert);
@@ -475,7 +475,7 @@ Incident make_symantec() {
   auto apple_int = pki.make_intermediate("Apple IST CA 2", root);
   auto google_int = pki.make_intermediate("Google Internet Authority G2", root);
 
-  incident.affected_roots.push_back(root.cert->fingerprint_hex());
+  incident.affected_roots.push_back(root.cert->fingerprint());
   (void)incident.store.add_trusted(root.cert);
   incident.pool.add(normal_int.cert);
   incident.pool.add(apple_int.cert);
@@ -549,9 +549,9 @@ Incident make_cross_sign() {
   // distrusted — the boon case must keep working.
   auto modern = pki.make_intermediate("Modern Commerce CA", bridge);
 
-  incident.affected_roots.push_back(legacy.cert->fingerprint_hex());
+  incident.affected_roots.push_back(legacy.cert->fingerprint());
   (void)incident.store.add_trusted(bridge.cert);
-  incident.store.distrust(legacy.cert->fingerprint_hex(),
+  incident.store.distrust(legacy.cert->fingerprint(),
                           "compromised legacy hierarchy (distrusted 2021)");
   incident.pool.add(issuing.cert);
   incident.pool.add(cross);

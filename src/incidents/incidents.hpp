@@ -45,7 +45,7 @@ struct Incident {
   chain::CertificatePool pool;
   std::vector<IncidentCase> cases;
   // Hashes of the roots the incident implicates (for E8's removal model).
-  std::vector<std::string> affected_roots;
+  std::vector<Sha256::Digest> affected_roots;
 };
 
 Incident make_turktrust();

@@ -205,7 +205,7 @@ PolicyResult PolicyVerifier::verify(const x509::CertPtr& leaf,
            to_hex(BytesView(cert.public_key()));
   };
   for (const auto& cert : universe) {
-    if (store_.state_of(cert->fingerprint_hex()) ==
+    if (store_.state_of(cert->fingerprint()) ==
         rootstore::TrustState::kDistrusted) {
       poisoned_groups.insert(group_key(*cert));
     }

@@ -222,7 +222,7 @@ Result<CompressedRevocationSet> CompressedRevocationSet::deserialize(
       set.salt_ = value;
       saw_salt = true;
     } else if (fields.size() == 2 && fields[0] == "enrolled") {
-      if (fields[1].size() != 64) return err("crlite: bad enrolled hash");
+      if (!digest_from_hex(fields[1])) return err("crlite: bad enrolled hash");
       set.enrolled_.insert(fields[1]);
     } else if (fields.size() == 4 && fields[0] == "level") {
       Level level;

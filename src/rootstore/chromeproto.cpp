@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <unordered_set>
 
+#include "util/sha256.hpp"
+
 namespace anchor::rootstore::chromeproto {
 
 const char* to_string(ErrorClass cls) {
@@ -64,18 +66,6 @@ std::optional<Version> Version::parse(std::string_view text) {
 }
 
 namespace {
-
-bool is_lower_hex(char c) {
-  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-}
-
-bool valid_sha256_hex(std::string_view text) {
-  if (text.size() != 64) return false;
-  for (char c : text) {
-    if (!is_lower_hex(c)) return false;
-  }
-  return true;
-}
 
 // Permitted DNS names are matched byte-for-byte against encoded SAN
 // suffixes, so anything that could never match (uppercase, wildcards,
@@ -403,7 +393,7 @@ class Parser {
         }
         std::string hex;
         if (!advance() || !expect_colon() || !read_string(hex)) return false;
-        if (!valid_sha256_hex(hex)) {
+        if (!digest_from_hex(hex)) {
           return reject(ErrorClass::kBadHex,
                         "sha256_hex must be 64 lowercase hex chars (got " +
                             std::to_string(hex.size()) + ")");
@@ -531,7 +521,7 @@ class Parser {
         }
         std::string hex;
         if (!advance() || !expect_colon() || !read_string(hex)) return false;
-        if (!valid_sha256_hex(hex)) {
+        if (!digest_from_hex(hex)) {
           return reject(ErrorClass::kBadHex,
                         "sha256_hex must be 64 lowercase hex chars");
         }

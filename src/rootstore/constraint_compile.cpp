@@ -241,7 +241,9 @@ Result<StoreCompileResult> compile_store(const chromeproto::StoreFile& file,
                                          const CompileOptions& options) {
   StoreCompileResult result;
   for (const chromeproto::TrustAnchor& anchor : file.trust_anchors) {
-    x509::CertPtr cert = resolve ? resolve(anchor.sha256_hex) : nullptr;
+    const auto hash = digest_from_hex(anchor.sha256_hex);
+    if (!hash) return err("compile_store: bad sha256_hex " + anchor.sha256_hex);
+    x509::CertPtr cert = resolve ? resolve(*hash) : nullptr;
     if (cert != nullptr) {
       RootMetadata metadata;
       metadata.ev_allowed = !anchor.ev_policy_oids.empty();

@@ -114,7 +114,9 @@ struct StoreCompileResult {
   std::size_t anchors_without_cert = 0;
 };
 
-using CertResolver = std::function<x509::CertPtr(const std::string& sha256_hex)>;
+// Looks a trust anchor's certificate up by its SHA-256; null if unknown.
+using CertResolver =
+    std::function<x509::CertPtr(const Sha256::Digest& sha256)>;
 
 Result<StoreCompileResult> compile_store(const chromeproto::StoreFile& file,
                                          const CertResolver& resolve,

@@ -235,7 +235,6 @@ bool StoreView::load(BytesView bytes, SnapshotError& error) {
     return true;
   };
 
-  trusted_order_.reserve(header.trusted_count);
   entries_.reserve(header.trusted_count);
   if (!section(kSectionTrusted, header.trusted_count, [&](Cursor& c) {
         std::uint8_t flags = 0;
@@ -262,45 +261,56 @@ bool StoreView::load(BytesView bytes, SnapshotError& error) {
           return fail(ErrorClass::kMalformed,
                       "trusted root DER: " + cert.error());
         }
-        std::string hash = cert.value()->fingerprint_hex();
-        if (!by_hash_.emplace(hash, entries_.size()).second) {
-          return fail(ErrorClass::kMalformed, "duplicate trusted root " + hash);
+        if (!by_hash_.emplace(cert.value()->fingerprint(), entries_.size())
+                 .second) {
+          return fail(ErrorClass::kMalformed,
+                      "duplicate trusted root " +
+                          cert.value()->fingerprint_hex());
         }
-        trusted_order_.push_back(std::move(hash));
         entries_.push_back(RootEntry{std::move(cert).take(), std::move(md)});
         return true;
       })) {
     return false;
   }
+  // entries_ is complete and never resized again, so the index may point
+  // into it.
+  for (const RootEntry& entry : entries_) {
+    by_subject_[entry.cert->subject()].push_back(&entry);
+  }
 
-  std::string prev_hash;
+  Sha256::Digest prev_hash{};
   if (!section(kSectionDistrusted, header.distrusted_count, [&](Cursor& c) {
-        std::string hash, justification;
-        if (!c.str(hash) || !c.str(justification)) {
+        std::string hash_hex, justification;
+        if (!c.str(hash_hex) || !c.str(justification)) {
           return fail(ErrorClass::kTruncated, "distrusted record");
         }
+        const auto hash = digest_from_hex(hash_hex);
+        if (!hash) return fail(ErrorClass::kMalformed, "bad distrusted hash");
         // Canonical order is part of the format: sorted, no duplicates.
-        if (!distrusted_.empty() && hash <= prev_hash) {
+        if (!distrusted_.empty() && *hash <= prev_hash) {
           return fail(ErrorClass::kMalformed, "distrusted entries unsorted");
         }
-        prev_hash = hash;
-        distrusted_.emplace(std::move(hash), std::move(justification));
+        prev_hash = *hash;
+        distrusted_.emplace(*hash, std::move(justification));
         return true;
       })) {
     return false;
   }
 
-  std::string current_root;
+  std::optional<Sha256::Digest> current_root;
   if (!section(kSectionGccs, header.gcc_count, [&](Cursor& c) {
-        std::string root, name, justification, source;
+        std::string root_hex, name, justification, source;
         BytesView blob;
-        if (!c.str(root) || !c.str(name) || !c.str(justification) ||
+        if (!c.str(root_hex) || !c.str(name) || !c.str(justification) ||
             !c.str(source) || !c.blob(blob)) {
           return fail(ErrorClass::kTruncated, "gcc record");
         }
+        const auto root = digest_from_hex(root_hex);
+        if (!root) return fail(ErrorClass::kMalformed, "bad gcc root hash");
         if (root != current_root) {
           // Groups sorted ascending, each root appearing exactly once.
-          if (root < current_root || gccs_by_root_.contains(root)) {
+          if ((current_root && *root < *current_root) ||
+              gccs_by_root_.contains(*root)) {
             return fail(ErrorClass::kMalformed, "gcc groups unsorted");
           }
           current_root = root;
@@ -311,15 +321,15 @@ bool StoreView::load(BytesView bytes, SnapshotError& error) {
                       "gcc '" + name + "': " + program.error());
         }
         auto gcc = core::Gcc::from_compiled(
-            std::move(name), root, std::move(source), std::move(justification),
+            std::move(name), *root, std::move(source), std::move(justification),
             std::make_shared<const datalog::CompiledProgram>(
                 std::move(program).take()));
         if (!gcc) return fail(ErrorClass::kMalformed, gcc.error());
-        auto& list = gccs_by_root_[root];
+        auto& list = gccs_by_root_[*root];
         for (const core::Gcc& existing : list) {
           if (existing.name() == gcc.value().name()) {
             return fail(ErrorClass::kMalformed,
-                        "duplicate gcc name on root " + root);
+                        "duplicate gcc name on root " + root_hex);
           }
         }
         list.push_back(std::move(gcc).take());
@@ -363,14 +373,14 @@ bool StoreView::load(BytesView bytes, SnapshotError& error) {
   return true;
 }
 
-TrustState StoreView::state_of(const std::string& hash_hex) const {
-  if (by_hash_.contains(hash_hex)) return TrustState::kTrusted;
-  if (distrusted_.contains(hash_hex)) return TrustState::kDistrusted;
+TrustState StoreView::state_of(const Sha256::Digest& hash) const {
+  if (by_hash_.contains(hash)) return TrustState::kTrusted;
+  if (distrusted_.contains(hash)) return TrustState::kDistrusted;
   return TrustState::kUnknown;
 }
 
-const RootEntry* StoreView::find(const std::string& hash_hex) const {
-  auto it = by_hash_.find(hash_hex);
+const RootEntry* StoreView::find(const Sha256::Digest& hash) const {
+  auto it = by_hash_.find(hash);
   return it == by_hash_.end() ? nullptr : &entries_[it->second];
 }
 
@@ -381,9 +391,16 @@ std::vector<const RootEntry*> StoreView::trusted() const {
   return out;
 }
 
+std::span<const RootEntry* const> StoreView::trusted_by_subject(
+    const x509::DistinguishedName& subject) const {
+  auto it = by_subject_.find(subject);
+  if (it == by_subject_.end()) return {};
+  return it->second;
+}
+
 std::span<const core::Gcc> StoreView::gccs_for_root(
-    const std::string& hash_hex) const {
-  auto it = gccs_by_root_.find(hash_hex);
+    const Sha256::Digest& hash) const {
+  auto it = gccs_by_root_.find(hash);
   if (it == gccs_by_root_.end()) return {};
   return it->second;
 }
@@ -393,20 +410,20 @@ RootStore StoreView::materialize() const {
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     out.add_trusted_unchecked(entries_[i].cert, entries_[i].metadata);
   }
-  std::vector<std::string> hashes;
+  std::vector<Sha256::Digest> hashes;
   hashes.reserve(distrusted_.size());
   for (const auto& [hash, justification] : distrusted_) {
     hashes.push_back(hash);
   }
   std::sort(hashes.begin(), hashes.end());
-  for (const std::string& hash : hashes) {
+  for (const Sha256::Digest& hash : hashes) {
     out.distrust(hash, distrusted_.at(hash));
   }
-  std::vector<std::string> roots;
+  std::vector<Sha256::Digest> roots;
   roots.reserve(gccs_by_root_.size());
   for (const auto& [root, list] : gccs_by_root_) roots.push_back(root);
   std::sort(roots.begin(), roots.end());
-  for (const std::string& root : roots) {
+  for (const Sha256::Digest& root : roots) {
     for (const core::Gcc& gcc : gccs_by_root_.at(root)) {
       out.attach_gcc(gcc);
     }

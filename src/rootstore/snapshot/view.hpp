@@ -53,11 +53,13 @@ class StoreView final : public StoreReader {
 
   // StoreReader — same answers, same order, as the RootStore the snapshot
   // was written from (the byte-identical-verdicts pin).
-  TrustState state_of(const std::string& hash_hex) const override;
-  const RootEntry* find(const std::string& hash_hex) const override;
+  TrustState state_of(const Sha256::Digest& hash) const override;
+  const RootEntry* find(const Sha256::Digest& hash) const override;
   std::vector<const RootEntry*> trusted() const override;
+  std::span<const RootEntry* const> trusted_by_subject(
+      const x509::DistinguishedName& subject) const override;
   std::span<const core::Gcc> gccs_for_root(
-      const std::string& hash_hex) const override;
+      const Sha256::Digest& hash) const override;
   std::size_t trusted_count() const override { return entries_.size(); }
   std::size_t distrusted_count() const override { return distrusted_.size(); }
   std::size_t gcc_count() const override { return gcc_total_; }
@@ -67,9 +69,7 @@ class StoreView final : public StoreReader {
     return revocation_filter_;
   }
 
-  const std::unordered_map<std::string, std::string>& distrusted() const {
-    return distrusted_;
-  }
+  const DistrustMap& distrusted() const { return distrusted_; }
   const Info& info() const { return info_; }
 
   // Equivalent heap store: same content, same insertion order, same
@@ -88,11 +88,12 @@ class StoreView final : public StoreReader {
   bool load(BytesView bytes, SnapshotError& error);
 
   Info info_;
-  std::vector<std::string> trusted_order_;  // insertion order, parallel
-  std::vector<RootEntry> entries_;          // to entries_
-  std::unordered_map<std::string, std::size_t> by_hash_;
-  std::unordered_map<std::string, std::string> distrusted_;
-  std::unordered_map<std::string, std::vector<core::Gcc>> gccs_by_root_;
+  std::vector<RootEntry> entries_;  // insertion order; never resized after load
+  std::unordered_map<Sha256::Digest, std::size_t, DigestHash> by_hash_;
+  SubjectIndex by_subject_;  // points into entries_
+  DistrustMap distrusted_;
+  std::unordered_map<Sha256::Digest, std::vector<core::Gcc>, DigestHash>
+      gccs_by_root_;
   std::size_t gcc_total_ = 0;
   std::shared_ptr<const revocation::CompressedRevocationSet>
       revocation_filter_;

@@ -84,26 +84,27 @@ Bytes write_snapshot(const RootStore& store) {
 
   // Distrust entries sorted by hash: the set is consulted by lookup only,
   // so the canonical order makes equal content byte-equal.
-  std::vector<std::string> distrusted_hashes;
+  std::vector<Sha256::Digest> distrusted_hashes;
   distrusted_hashes.reserve(store.distrusted().size());
   for (const auto& [hash, justification] : store.distrusted()) {
     distrusted_hashes.push_back(hash);
   }
   std::sort(distrusted_hashes.begin(), distrusted_hashes.end());
   SectionBuilder distrusted;
-  for (const std::string& hash : distrusted_hashes) {
+  for (const Sha256::Digest& hash : distrusted_hashes) {
     Bytes rec;
-    put_str(rec, hash);
+    put_str(rec, to_hex(BytesView(hash)));
     put_str(rec, store.distrusted().at(hash));
     distrusted.records.push_back(std::move(rec));
   }
 
   // GCCs grouped by root ascending, attachment order within a root.
   SectionBuilder gccs;
-  for (const std::string& root : store.gccs().roots_sorted()) {
+  for (const Sha256::Digest& root : store.gccs().roots_sorted()) {
+    const std::string root_hex = to_hex(BytesView(root));
     for (const core::Gcc& gcc : store.gccs().for_root(root)) {
       Bytes rec;
-      put_str(rec, root);
+      put_str(rec, root_hex);
       put_str(rec, gcc.name());
       put_str(rec, gcc.justification());
       put_str(rec, gcc.source());

@@ -34,9 +34,8 @@
 namespace anchor::rootstore {
 
 Status RootStore::add_trusted(x509::CertPtr cert, RootMetadata metadata) {
-  std::string hash = cert->fingerprint_hex();
-  if (distrusted_.contains(hash)) {
-    return err("root store: root " + hash.substr(0, 16) +
+  if (distrusted_.contains(cert->fingerprint())) {
+    return err("root store: root " + cert->fingerprint_hex().substr(0, 16) +
                "... is explicitly distrusted; refusing to re-trust (use "
                "add_trusted_unchecked to model non-compliant derivatives)");
   }
@@ -46,45 +45,61 @@ Status RootStore::add_trusted(x509::CertPtr cert, RootMetadata metadata) {
 
 void RootStore::add_trusted_unchecked(x509::CertPtr cert,
                                       RootMetadata metadata) {
-  std::string hash = cert->fingerprint_hex();
+  const Sha256::Digest hash = cert->fingerprint();
   auto it = trusted_.find(hash);
+  // Same fingerprint ⇒ same certificate bytes; only a metadata change can
+  // alter a verification outcome. A byte-identical re-add must not bump
+  // the epoch, or redundant delta replay flushes every verdict cache keyed
+  // on epoch() for nothing.
+  if (it != trusted_.end() && it->second->metadata == metadata) return;
+  auto fresh = std::make_shared<const RootEntry>(
+      RootEntry{std::move(cert), std::move(metadata)});
   if (it != trusted_.end()) {
-    // Same fingerprint ⇒ same certificate bytes; only a metadata change can
-    // alter a verification outcome. A byte-identical re-add must not bump
-    // the epoch, or redundant delta replay flushes every verdict cache
-    // keyed on epoch() for nothing.
-    if (it->second.metadata == metadata) return;
-    it->second = RootEntry{std::move(cert), std::move(metadata)};
+    // Same subject, same slot: the replacement keeps the root's position.
+    for (const RootEntry*& slot : by_subject_[fresh->cert->subject()]) {
+      if (slot == it->second.get()) slot = fresh.get();
+    }
+    it->second = std::move(fresh);
     ++epoch_;
     return;
   }
   trusted_order_.push_back(hash);
-  trusted_[hash] = RootEntry{std::move(cert), std::move(metadata)};
+  by_subject_[fresh->cert->subject()].push_back(fresh.get());
+  trusted_.emplace(hash, std::move(fresh));
   ++epoch_;
 }
 
-void RootStore::distrust(const std::string& hash_hex,
-                         std::string justification) {
-  bool was_trusted = trusted_.erase(hash_hex) > 0;
-  if (was_trusted) std::erase(trusted_order_, hash_hex);
-  auto it = distrusted_.find(hash_hex);
+// Removes `hash` from the trusted set; returns true if it was there.
+bool RootStore::untrust(const Sha256::Digest& hash) {
+  auto it = trusted_.find(hash);
+  if (it == trusted_.end()) return false;
+  auto bucket = by_subject_.find(it->second->cert->subject());
+  std::erase(bucket->second, it->second.get());
+  if (bucket->second.empty()) by_subject_.erase(bucket);
+  trusted_.erase(it);
+  std::erase(trusted_order_, hash);
+  return true;
+}
+
+void RootStore::distrust(Sha256::Digest hash, std::string justification) {
+  const bool was_trusted = untrust(hash);
+  auto it = distrusted_.find(hash);
   if (it != distrusted_.end()) {
     // Already distrusted with the same justification (and not shadowed by a
     // trusted entry): nothing observable changed, keep the epoch stable.
     if (!was_trusted && it->second == justification) return;
     it->second = std::move(justification);
   } else {
-    distrusted_order_.push_back(hash_hex);
-    distrusted_[hash_hex] = std::move(justification);
+    distrusted_order_.push_back(hash);
+    distrusted_.emplace(hash, std::move(justification));
   }
   ++epoch_;
 }
 
-bool RootStore::forget(const std::string& hash_hex) {
-  bool was_trusted = trusted_.erase(hash_hex) > 0;
-  if (was_trusted) std::erase(trusted_order_, hash_hex);
-  bool was_distrusted = distrusted_.erase(hash_hex) > 0;
-  if (was_distrusted) std::erase(distrusted_order_, hash_hex);
+bool RootStore::forget(Sha256::Digest hash) {
+  const bool was_trusted = untrust(hash);
+  const bool was_distrusted = distrusted_.erase(hash) > 0;
+  if (was_distrusted) std::erase(distrusted_order_, hash);
   if (was_trusted || was_distrusted) ++epoch_;
   return was_trusted || was_distrusted;
 }
@@ -93,11 +108,17 @@ void RootStore::attach_gcc(core::Gcc gcc) {
   if (gccs_.attach(std::move(gcc))) ++epoch_;
 }
 
-bool RootStore::detach_gcc(const std::string& root_hash_hex,
+bool RootStore::detach_gcc(const Sha256::Digest& root_hash,
                            const std::string& name) {
-  if (!gccs_.detach(root_hash_hex, name)) return false;
+  if (!gccs_.detach(root_hash, name)) return false;
   ++epoch_;
   return true;
+}
+
+bool RootStore::detach_gcc(std::string_view root_hash_hex,
+                           const std::string& name) {
+  const auto root_hash = digest_from_hex(root_hash_hex);
+  return root_hash && detach_gcc(*root_hash, name);
 }
 
 void RootStore::set_revocation_filter(
@@ -110,41 +131,53 @@ void RootStore::set_revocation_filter(
   if (!same) ++epoch_;
 }
 
-TrustState RootStore::state_of(const std::string& hash_hex) const {
-  if (trusted_.contains(hash_hex)) return TrustState::kTrusted;
-  if (distrusted_.contains(hash_hex)) return TrustState::kDistrusted;
+TrustState RootStore::state_of(const Sha256::Digest& hash) const {
+  if (trusted_.contains(hash)) return TrustState::kTrusted;
+  if (distrusted_.contains(hash)) return TrustState::kDistrusted;
   return TrustState::kUnknown;
 }
 
-const RootEntry* RootStore::find(const std::string& hash_hex) const {
-  auto it = trusted_.find(hash_hex);
-  return it == trusted_.end() ? nullptr : &it->second;
+TrustState RootStore::state_of(std::string_view hash_hex) const {
+  const auto hash = digest_from_hex(hash_hex);
+  return hash ? state_of(*hash) : TrustState::kUnknown;
+}
+
+const RootEntry* RootStore::find(const Sha256::Digest& hash) const {
+  auto it = trusted_.find(hash);
+  return it == trusted_.end() ? nullptr : it->second.get();
 }
 
 std::vector<const RootEntry*> RootStore::trusted() const {
   std::vector<const RootEntry*> out;
   out.reserve(trusted_order_.size());
   for (const auto& hash : trusted_order_) {
-    auto it = trusted_.find(hash);
-    if (it != trusted_.end()) out.push_back(&it->second);
+    out.push_back(trusted_.at(hash).get());
   }
   return out;
+}
+
+std::span<const RootEntry* const> RootStore::trusted_by_subject(
+    const x509::DistinguishedName& subject) const {
+  auto it = by_subject_.find(subject);
+  if (it == by_subject_.end()) return {};
+  return it->second;
 }
 
 std::string RootStore::serialize() const {
   // Canonical form: entries sorted by hash, so equal *content* serializes
   // identically regardless of insertion history (delta replay, merges and
   // feed payload comparison all rely on this).
-  std::vector<std::string> trusted_sorted = trusted_order_;
+  // Bytewise digest order is the order of the lowercase hex forms.
+  std::vector<Sha256::Digest> trusted_sorted = trusted_order_;
   std::sort(trusted_sorted.begin(), trusted_sorted.end());
-  std::vector<std::string> distrusted_sorted = distrusted_order_;
+  std::vector<Sha256::Digest> distrusted_sorted = distrusted_order_;
   std::sort(distrusted_sorted.begin(), distrusted_sorted.end());
 
   std::ostringstream out;
   out << "anchor-root-store/v1\n";
   for (const auto& hash : trusted_sorted) {
-    const RootEntry& entry = trusted_.at(hash);
-    out << "trusted " << hash << "\n";
+    const RootEntry& entry = *trusted_.at(hash);
+    out << "trusted " << to_hex(BytesView(hash)) << "\n";
     out << "ev " << (entry.metadata.ev_allowed ? 1 : 0) << "\n";
     if (entry.metadata.tls_distrust_after) {
       out << "tls-distrust-after " << *entry.metadata.tls_distrust_after << "\n";
@@ -161,16 +194,16 @@ std::string RootStore::serialize() const {
     out << entry.cert->to_pem();
   }
   for (const auto& hash : distrusted_sorted) {
-    out << "distrusted " << hash << "\n";
+    out << "distrusted " << to_hex(BytesView(hash)) << "\n";
     const std::string& justification = distrusted_.at(hash);
     if (!justification.empty()) {
       out << "justification-b64 "
           << base64_encode(BytesView(to_bytes(justification))) << "\n";
     }
   }
-  for (const auto& root : gccs_.roots_sorted()) {
+  for (const Sha256::Digest& root : gccs_.roots_sorted()) {
     for (const core::Gcc& gcc : gccs_.for_root(root)) {
-      out << "gcc " << root << "\n";
+      out << "gcc " << to_hex(BytesView(root)) << "\n";
       out << "name-b64 " << base64_encode(BytesView(to_bytes(gcc.name())))
           << "\n";
       if (!gcc.justification().empty()) {
@@ -280,8 +313,8 @@ Result<RootStore> RootStore::deserialize(std::string_view text) {
       }
       auto cert = x509::Certificate::parse_pem(pem);
       if (!cert) return err("root store: " + cert.error());
-      std::string actual_hash = cert.value()->fingerprint_hex();
-      if (actual_hash != arg) {
+      const auto hash = digest_from_hex(arg);
+      if (!hash || *hash != cert.value()->fingerprint()) {
         return err("root store: trusted hash mismatch for " + arg);
       }
       store.add_trusted_unchecked(std::move(cert).take(), std::move(metadata));
@@ -294,8 +327,9 @@ Result<RootStore> RootStore::deserialize(std::string_view text) {
         justification = std::move(decoded).take();
         ++i;
       }
-      if (arg.size() != 64) return err("root store: bad distrusted hash");
-      store.distrust(arg, std::move(justification));
+      const auto hash = digest_from_hex(arg);
+      if (!hash) return err("root store: bad distrusted hash");
+      store.distrust(*hash, std::move(justification));
     } else if (keyword == "gcc") {
       ++i;
       std::string name;

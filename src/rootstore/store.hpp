@@ -14,12 +14,14 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "core/gcc.hpp"
 #include "util/metrics.hpp"
 #include "util/result.hpp"
+#include "util/sha256.hpp"
 #include "x509/certificate.hpp"
 
 namespace anchor::revocation {
@@ -55,22 +57,32 @@ enum class TrustState { kTrusted, kDistrusted, kUnknown };
 // (rootstore/snapshot/view.hpp) that serves the same answers out of a
 // flat snapshot without per-worker parsing or GCC recompilation. The
 // pinned contract: for equal content, both implementations return the
-// same entries in the same order — `trusted()` in insertion order,
-// `gccs_for_root()` in attachment order — so verdicts computed through
-// either are byte-identical.
+// same entries in the same order — `trusted()` and `trusted_by_subject()`
+// in insertion order, `gccs_for_root()` in attachment order — so verdicts
+// computed through either are byte-identical.
+//
+// Roots are named by their 32-byte SHA-256 (Certificate::fingerprint()).
+// Hex is a display and serialization form only; text inputs reach these
+// lookups through digest_from_hex.
 class StoreReader {
  public:
   virtual ~StoreReader() = default;
 
-  virtual TrustState state_of(const std::string& hash_hex) const = 0;
-  virtual const RootEntry* find(const std::string& hash_hex) const = 0;
+  virtual TrustState state_of(const Sha256::Digest& hash) const = 0;
+  virtual const RootEntry* find(const Sha256::Digest& hash) const = 0;
   // Insertion order — path search tries candidate roots in this order, so
   // the order is part of the verdict contract (first accepted path wins).
   virtual std::vector<const RootEntry*> trusted() const = 0;
+  // The trusted roots whose subject equals `subject`, in the order
+  // trusted() lists them: the candidate anchors for a certificate issued
+  // by `subject`. Served from an index, so path search pays one lookup per
+  // step instead of a scan over every root.
+  virtual std::span<const RootEntry* const> trusted_by_subject(
+      const x509::DistinguishedName& subject) const = 0;
   // Attachment order (all must hold, but diagnostics name the first
   // failure, so order is observable).
   virtual std::span<const core::Gcc> gccs_for_root(
-      const std::string& hash_hex) const = 0;
+      const Sha256::Digest& hash) const = 0;
 
   virtual std::size_t trusted_count() const = 0;
   virtual std::size_t distrusted_count() const = 0;
@@ -89,6 +101,16 @@ class StoreReader {
   }
 };
 
+// Subject DN -> trusted roots with that subject, each list in insertion
+// order. Shared by both StoreReader implementations.
+using SubjectIndex =
+    std::unordered_map<x509::DistinguishedName, std::vector<const RootEntry*>,
+                       x509::DistinguishedNameHash>;
+
+// Digest -> distrust justification.
+using DistrustMap =
+    std::unordered_map<Sha256::Digest, std::string, DigestHash>;
+
 class RootStore : public StoreReader {
  public:
   // Adds (or updates) an explicitly trusted root. A root currently in the
@@ -99,23 +121,28 @@ class RootStore : public StoreReader {
   // Moves a root into the explicitly-distrusted set (removing it from the
   // trusted set if present). Distrust by hash also works for roots the
   // store never carried.
-  void distrust(const std::string& hash_hex, std::string justification = "");
+  // `hash` is taken by value: callers often pass a trusted root's own
+  // fingerprint(), which lives in the certificate this call may release.
+  void distrust(Sha256::Digest hash, std::string justification = "");
 
   // Forgets a root entirely (back to kUnknown) — e.g. expired housekeeping.
   // Distinct from distrust. Returns true if it was present in either set.
-  bool forget(const std::string& hash_hex);
+  bool forget(Sha256::Digest hash);
 
   // Force-adds a trusted root even if distrusted (used by merge tooling to
   // model derivative stores that re-add removed roots, as Amazon Linux did).
   void add_trusted_unchecked(x509::CertPtr cert, RootMetadata metadata = {});
 
-  TrustState state_of(const std::string& hash_hex) const override;
-  const RootEntry* find(const std::string& hash_hex) const override;
+  TrustState state_of(const Sha256::Digest& hash) const override;
+  const RootEntry* find(const Sha256::Digest& hash) const override;
+  // Text-boundary form of state_of: `hash_hex` goes through
+  // digest_from_hex, and a malformed hash names no root (kUnknown).
+  TrustState state_of(std::string_view hash_hex) const;
 
   std::vector<const RootEntry*> trusted() const override;
-  const std::unordered_map<std::string, std::string>& distrusted() const {
-    return distrusted_;  // hash -> justification
-  }
+  std::span<const RootEntry* const> trusted_by_subject(
+      const x509::DistinguishedName& subject) const override;
+  const DistrustMap& distrusted() const { return distrusted_; }
 
   std::size_t trusted_count() const override { return trusted_.size(); }
   std::size_t distrusted_count() const override { return distrusted_.size(); }
@@ -128,7 +155,9 @@ class RootStore : public StoreReader {
   void attach_gcc(core::Gcc gcc);
   // Removes the named GCC from the given root; returns true (and bumps the
   // epoch) only if it existed.
-  bool detach_gcc(const std::string& root_hash_hex, const std::string& name);
+  bool detach_gcc(const Sha256::Digest& root_hash, const std::string& name);
+  // Text-boundary form: a malformed `root_hash_hex` detaches nothing.
+  bool detach_gcc(std::string_view root_hash_hex, const std::string& name);
 
   // Attaches (or replaces) the store-distributed compressed revocation
   // filter; nullptr clears it. Bumps the epoch unless the new filter is
@@ -149,8 +178,8 @@ class RootStore : public StoreReader {
   // entries.)
   const core::GccStore& gccs() const { return gccs_; }
   std::span<const core::Gcc> gccs_for_root(
-      const std::string& hash_hex) const override {
-    return gccs_.for_root(hash_hex);
+      const Sha256::Digest& hash) const override {
+    return gccs_.for_root(hash);
   }
 
   // Single strictly-monotonic mutation counter: every change that can
@@ -179,11 +208,19 @@ class RootStore : public StoreReader {
   std::string content_hash_hex() const;
 
  private:
+  bool untrust(const Sha256::Digest& hash);
+
   // hash -> entry, plus insertion order for deterministic serialization.
-  std::unordered_map<std::string, RootEntry> trusted_;
-  std::vector<std::string> trusted_order_;
-  std::unordered_map<std::string, std::string> distrusted_;
-  std::vector<std::string> distrusted_order_;
+  // Entries are immutable and shared, so copies of the store (one per
+  // published VerifyService snapshot) share them and `by_subject_`'s
+  // pointers stay valid in every copy.
+  std::unordered_map<Sha256::Digest, std::shared_ptr<const RootEntry>,
+                     DigestHash>
+      trusted_;
+  std::vector<Sha256::Digest> trusted_order_;
+  SubjectIndex by_subject_;
+  DistrustMap distrusted_;
+  std::vector<Sha256::Digest> distrusted_order_;
   core::GccStore gccs_;
   // Immutable once built, so copies of the store share one filter.
   std::shared_ptr<const revocation::CompressedRevocationSet>

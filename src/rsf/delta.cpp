@@ -1,5 +1,6 @@
 #include "rsf/delta.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <unordered_set>
 
@@ -14,8 +15,7 @@ StoreDelta StoreDelta::diff(const rootstore::RootStore& from,
 
   // Trusted side: additions and metadata changes.
   for (const rootstore::RootEntry* entry : to.trusted()) {
-    const std::string hash = entry->cert->fingerprint_hex();
-    const rootstore::RootEntry* old = from.find(hash);
+    const rootstore::RootEntry* old = from.find(entry->cert->fingerprint());
     if (old == nullptr || !(old->metadata == entry->metadata)) {
       delta.add_trusted.push_back(TrustChange{entry->cert, entry->metadata});
     }
@@ -27,18 +27,25 @@ StoreDelta StoreDelta::diff(const rootstore::RootStore& from,
       delta.distrust.emplace_back(hash, justification);
     }
   }
+  // Hash order, not hash-table order: the encoding must not depend on how
+  // the distrust map happens to iterate.
+  std::sort(delta.distrust.begin(), delta.distrust.end());
   // Disappearances: present in `from`, absent (unknown) in `to`.
   for (const rootstore::RootEntry* entry : from.trusted()) {
-    const std::string hash = entry->cert->fingerprint_hex();
+    const Sha256::Digest& hash = entry->cert->fingerprint();
     if (to.state_of(hash) == rootstore::TrustState::kUnknown) {
       delta.forget.push_back(hash);
     }
   }
+  const std::size_t forgotten_trusted = delta.forget.size();
   for (const auto& [hash, justification] : from.distrusted()) {
     if (to.state_of(hash) == rootstore::TrustState::kUnknown) {
       delta.forget.push_back(hash);
     }
   }
+  std::sort(delta.forget.begin() +
+                static_cast<std::ptrdiff_t>(forgotten_trusted),
+            delta.forget.end());
 
   // GCC side, keyed by (root, name).
   auto gcc_key = [](const core::Gcc& gcc) {
@@ -61,7 +68,7 @@ StoreDelta StoreDelta::diff(const rootstore::RootStore& from,
   for (const auto& root : from.gccs().roots_sorted()) {
     for (const core::Gcc& gcc : from.gccs().for_root(root)) {
       if (!in_to.contains(gcc_key(gcc))) {
-        delta.detach_gccs.emplace_back(gcc.root_hash_hex(), gcc.name());
+        delta.detach_gccs.emplace_back(gcc.root_hash(), gcc.name());
       }
     }
   }
@@ -85,9 +92,9 @@ void StoreDelta::apply(rootstore::RootStore& store) const {
   for (const auto& change : add_trusted) {
     // The primary's decision is authoritative: clear any stale distrust
     // entry before re-adding.
-    if (store.state_of(change.cert->fingerprint_hex()) ==
+    if (store.state_of(change.cert->fingerprint()) ==
         rootstore::TrustState::kDistrusted) {
-      store.forget(change.cert->fingerprint_hex());
+      store.forget(change.cert->fingerprint());
     }
     store.add_trusted_unchecked(change.cert, change.metadata);
   }
@@ -133,13 +140,13 @@ std::string StoreDelta::serialize() const {
     out << change.cert->to_pem();
   }
   for (const auto& [hash, justification] : distrust) {
-    out << "distrust " << hash << "\n";
+    out << "distrust " << to_hex(BytesView(hash)) << "\n";
     if (!justification.empty()) {
       out << "justification-b64 " << b64(justification) << "\n";
     }
   }
   for (const auto& hash : forget) {
-    out << "forget " << hash << "\n";
+    out << "forget " << to_hex(BytesView(hash)) << "\n";
   }
   for (const core::Gcc& gcc : attach_gccs) {
     out << "attach-gcc " << gcc.root_hash_hex() << "\n";
@@ -150,7 +157,8 @@ std::string StoreDelta::serialize() const {
     out << "source-b64 " << b64(gcc.source()) << "\n";
   }
   for (const auto& [root, name] : detach_gccs) {
-    out << "detach-gcc " << root << " " << b64(name) << "\n";
+    out << "detach-gcc " << to_hex(BytesView(root)) << " " << b64(name)
+        << "\n";
   }
   if (clear_filter) out << "clear-filter\n";
   if (set_filter != nullptr) {
@@ -229,7 +237,8 @@ Result<StoreDelta> StoreDelta::deserialize(std::string_view text) {
       }
       auto cert = x509::Certificate::parse_pem(pem);
       if (!cert) return err("delta: " + cert.error());
-      if (cert.value()->fingerprint_hex() != arg) {
+      const auto hash = digest_from_hex(arg);
+      if (!hash || *hash != cert.value()->fingerprint()) {
         return err("delta: add hash mismatch");
       }
       delta.add_trusted.push_back(
@@ -243,12 +252,14 @@ Result<StoreDelta> StoreDelta::deserialize(std::string_view text) {
         justification = std::move(decoded).take();
         ++i;
       }
-      if (arg.size() != 64) return err("delta: bad distrust hash");
-      delta.distrust.emplace_back(arg, std::move(justification));
+      const auto hash = digest_from_hex(arg);
+      if (!hash) return err("delta: bad distrust hash");
+      delta.distrust.emplace_back(*hash, std::move(justification));
     } else if (keyword == "forget") {
       ++i;
-      if (arg.size() != 64) return err("delta: bad forget hash");
-      delta.forget.push_back(arg);
+      const auto hash = digest_from_hex(arg);
+      if (!hash) return err("delta: bad forget hash");
+      delta.forget.push_back(*hash);
     } else if (keyword == "attach-gcc") {
       ++i;
       std::string name;
@@ -282,9 +293,11 @@ Result<StoreDelta> StoreDelta::deserialize(std::string_view text) {
       ++i;
       std::size_t sp = arg.find(' ');
       if (sp == std::string::npos) return err("delta: malformed detach-gcc");
+      const auto root = digest_from_hex(std::string_view(arg).substr(0, sp));
+      if (!root) return err("delta: bad detach-gcc hash");
       auto name = unb64(std::string_view(arg).substr(sp + 1));
       if (!name) return err(name.error());
-      delta.detach_gccs.emplace_back(arg.substr(0, sp), std::move(name).take());
+      delta.detach_gccs.emplace_back(*root, std::move(name).take());
     } else if (keyword == "clear-filter") {
       ++i;
       delta.clear_filter = true;

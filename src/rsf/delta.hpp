@@ -24,10 +24,11 @@ struct StoreDelta {
   };
 
   std::vector<TrustChange> add_trusted;              // add or metadata update
-  std::vector<std::pair<std::string, std::string>> distrust;  // hash, why
-  std::vector<std::string> forget;                   // back to unknown
+  std::vector<std::pair<Sha256::Digest, std::string>> distrust;  // hash, why
+  std::vector<Sha256::Digest> forget;                // back to unknown
   std::vector<core::Gcc> attach_gccs;
-  std::vector<std::pair<std::string, std::string>> detach_gccs;  // root, name
+  // (root, name) pairs.
+  std::vector<std::pair<Sha256::Digest, std::string>> detach_gccs;
   // Revocation-filter carriage: at most one of these is meaningful. A
   // non-null set_filter replaces the store's compressed revocation set
   // (parsed at deserialize time so apply() cannot fail); clear_filter

@@ -31,11 +31,11 @@ MergeResult merge(const rootstore::RootStore& primary,
 
   // Derivative additions.
   for (const rootstore::RootEntry* entry : derivative.trusted()) {
-    const std::string hash = entry->cert->fingerprint_hex();
+    const Sha256::Digest& hash = entry->cert->fingerprint();
     switch (primary.state_of(hash)) {
       case rootstore::TrustState::kDistrusted: {
         result.conflicts.push_back(MergeConflict{
-            ConflictKind::kDistrustedReAdded, hash,
+            ConflictKind::kDistrustedReAdded, entry->cert->fingerprint_hex(),
             "derivative trusts a root the primary explicitly distrusts"});
         if (policy == MergePolicy::kDerivativeWins) {
           result.merged.forget(hash);
@@ -47,7 +47,7 @@ MergeResult merge(const rootstore::RootStore& primary,
         const rootstore::RootEntry* base = primary.find(hash);
         if (base != nullptr && !(base->metadata == entry->metadata)) {
           result.conflicts.push_back(MergeConflict{
-              ConflictKind::kMetadataMismatch, hash,
+              ConflictKind::kMetadataMismatch, entry->cert->fingerprint_hex(),
               "derivative metadata differs from primary"});
           // Primary metadata already in the merged store; only override
           // when the derivative wins.
@@ -86,7 +86,7 @@ MergeResult merge(const rootstore::RootStore& primary,
         // merge reports indistinguishable from a benign EV-bit skew.
         result.merged.distrust(hash, justification);
         result.conflicts.push_back(MergeConflict{
-            ConflictKind::kLocalDistrust, hash,
+            ConflictKind::kLocalDistrust, to_hex(BytesView(hash)),
             "derivative distrusts a root the primary trusts"});
         break;
       case rootstore::TrustState::kUnknown:

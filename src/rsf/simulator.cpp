@@ -123,10 +123,10 @@ SimReport run_staleness_simulation(const SimConfig& config) {
             [](const Release& a, const Release& b) { return a.time < b.time; });
 
   // Incident i distrusts root i+some offset (never the same root twice).
-  std::vector<std::string> incident_roots;
+  std::vector<Sha256::Digest> incident_roots;
   for (int i = 0; i < config.num_incidents; ++i) {
     incident_roots.push_back(
-        roots[static_cast<std::size_t>(i) % roots.size()]->fingerprint_hex());
+        roots[static_cast<std::size_t>(i) % roots.size()]->fingerprint());
   }
 
   // The primary store and feed.
@@ -207,7 +207,7 @@ SimReport run_staleness_simulation(const SimConfig& config) {
            releases[next_release].time <= now) {
       const Release& release = releases[next_release];
       if (release.is_incident) {
-        const std::string& hash =
+        const Sha256::Digest& hash =
             incident_roots[static_cast<std::size_t>(release.incident_index)];
         primary.distrust(hash, "incident response");
         report.incidents[static_cast<std::size_t>(release.incident_index)]
@@ -342,7 +342,7 @@ FleetReport run_fleet_simulation(const FleetConfig& config) {
   Feed feed("nss-fleet", registry);
   feed.publish(primary, config.start_time, "routine");
   const std::int64_t incident_time = config.start_time + config.lead_time;
-  primary.distrust(roots[0]->fingerprint_hex(), "incident response");
+  primary.distrust(roots[0]->fingerprint(), "incident response");
   feed.publish(primary, incident_time, "emergency distrust");
 
   // Steady state: the poller is current (from_size == head), so the

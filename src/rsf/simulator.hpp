@@ -57,7 +57,7 @@ struct SimConfig {
 
 struct DistrustOutcome {
   std::int64_t primary_time = 0;  // emergency release instant
-  std::string root_hash;
+  Sha256::Digest root_hash{};
   // Per derivative (indexed as in SimConfig::derivatives): seconds from the
   // primary release until the derivative stopped trusting the root; -1 if
   // it never did within the simulation.

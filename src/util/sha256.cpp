@@ -32,6 +32,8 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
 Sha256::Sha256() : state_(kInitialState), buffer_{} {}
 
 void Sha256::update(BytesView data) {
+  // An empty span may carry a null data(), which memcpy must never see.
+  if (data.empty()) return;
   total_len_ += data.size();
   std::size_t offset = 0;
   if (buffer_len_ > 0) {
@@ -132,6 +134,23 @@ Bytes Sha256::hash_bytes(BytesView data) {
 std::string Sha256::hash_hex(BytesView data) {
   Digest d = hash(data);
   return to_hex(BytesView(d.data(), d.size()));
+}
+
+std::optional<Sha256::Digest> digest_from_hex(std::string_view hex) {
+  if (hex.size() != 2 * Sha256::kDigestSize) return std::nullopt;
+  const auto nibble = [](char c) {
+    if (c >= '0' && c <= '9') return c - '0';
+    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+    return -1;
+  };
+  Sha256::Digest out{};
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const int hi = nibble(hex[2 * i]);
+    const int lo = nibble(hex[2 * i + 1]);
+    if (hi < 0 || lo < 0) return std::nullopt;
+    out[i] = static_cast<std::uint8_t>(hi << 4 | lo);
+  }
+  return out;
 }
 
 }  // namespace anchor

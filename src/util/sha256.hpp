@@ -6,6 +6,9 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
+#include <optional>
+#include <string_view>
 
 #include "util/bytes.hpp"
 
@@ -34,6 +37,24 @@ class Sha256 {
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffer_len_ = 0;
   std::uint64_t total_len_ = 0;
+};
+
+// The one text-to-identity parser: a digest's canonical form is exactly 64
+// lowercase hex characters (what to_hex emits). Wrong length, odd length,
+// uppercase and any other non-hex character are rejected, so every text
+// input that names a certificate by hash — store text, snapshots, RSF
+// deltas, Chrome Root Store textprotos, CLI arguments — round-trips to the
+// same bytes it was read from.
+std::optional<Sha256::Digest> digest_from_hex(std::string_view hex);
+
+// Hash functor for digest-keyed maps. A SHA-256 output is already uniform,
+// so its first word is as good a bucket index as any mix of it.
+struct DigestHash {
+  std::size_t operator()(const Sha256::Digest& digest) const noexcept {
+    std::size_t h = 0;
+    std::memcpy(&h, digest.data(), sizeof h);
+    return h;
+  }
 };
 
 }  // namespace anchor

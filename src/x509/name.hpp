@@ -3,6 +3,7 @@
 // the overwhelming majority of real Web-PKI names.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -46,6 +47,19 @@ class DistinguishedName {
 
  private:
   std::vector<NameAttribute> attrs_;
+};
+
+// Hash functor for DN-keyed maps, consistent with operator== (equal names
+// hash equal; attribute types are left to the equality check).
+struct DistinguishedNameHash {
+  std::size_t operator()(const DistinguishedName& name) const noexcept {
+    std::size_t h = name.attributes().size();
+    for (const NameAttribute& attr : name.attributes()) {
+      h ^= std::hash<std::string>{}(attr.value) + 0x9e3779b97f4a7c15ULL +
+           (h << 6) + (h >> 2);
+    }
+    return h;
+  }
 };
 
 }  // namespace anchor::x509

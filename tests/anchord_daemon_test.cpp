@@ -231,7 +231,7 @@ TEST(TrustDaemon, ValidateWithLatencyThroughService) {
 // It must refresh the store gauges and return the registry's exposition.
 TEST(TrustDaemon, MetricsVerbEmitsExposition) {
   DaemonPki pki;
-  pki.store.distrust(std::string(64, 'a'), "incident");
+  pki.store.distrust(*digest_from_hex(std::string(64, 'a')), "incident");
   TrustDaemon daemon(pki.config());
 
   metrics::Registry registry;  // isolated so counts are exact
@@ -244,7 +244,7 @@ TEST(TrustDaemon, MetricsVerbEmitsExposition) {
   EXPECT_EQ(daemon.calls(), 1u);  // the scrape itself crosses the boundary
 
   // Store changes show up on the next scrape.
-  pki.store.distrust(std::string(64, 'b'), "second incident");
+  pki.store.distrust(*digest_from_hex(std::string(64, 'b')), "second incident");
   const std::string updated = daemon.metrics(registry);
   EXPECT_NE(updated.find("anchor_store_distrusted_roots 2"),
             std::string::npos);

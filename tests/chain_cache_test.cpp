@@ -1,6 +1,11 @@
 // Cache-invalidation property tests for chain::VerifyService (ctest -L
 // concurrency; single-threaded but part of the sanitizer suite).
 //
+// Cert-cache soundness: the parsed-certificate cache is keyed on the
+// request DER bytes, with a non-cryptographic lookup hash. A hit must be
+// the byte-identical encoding; a distinct encoding, even one forced onto
+// the same lookup hash, must miss and parse to its own certificate.
+//
 // Property under test: the service must never serve a verdict computed
 // under a prior store epoch. Randomized sequences of store mutations
 // (seeded via util/rng so failures replay) interleave with verifications,
@@ -112,7 +117,7 @@ TEST(VerifyServiceCache, RandomizedMutationsNeverServeStaleVerdicts) {
   pool.add(pki.int_a);
   VerifyService service(pki.store, pki.sigs);
 
-  const std::string root_hash = pki.root->fingerprint_hex();
+  const Sha256::Digest root_hash = pki.root->fingerprint();
   Rng rng(0xcac4e5eedULL);
   bool reject_attached = false;
   bool root_trusted = true;
@@ -165,6 +170,85 @@ TEST(VerifyServiceCache, RandomizedMutationsNeverServeStaleVerdicts) {
   const ServiceStats stats = service.stats();
   EXPECT_GT(stats.verdict_hits + stats.verdict_misses, 0u);
   EXPECT_GT(stats.epoch_flushes, 0u);
+}
+
+// Forces every encoding onto one lookup key, so only the byte compare can
+// tell two certificates apart.
+struct CollidingHash {
+  std::size_t operator()(BytesView) const noexcept { return 42; }
+};
+
+TEST(CertCache, ByteIdenticalDerHitsSameCertPtr) {
+  CachePki pki;
+  CertCache<> cache(16, 2);
+  EXPECT_EQ(cache.find(BytesView(pki.int_a->der())), nullptr);
+  cache.insert(pki.int_a);
+  // A separate buffer with the same bytes, as a request off the wire is.
+  const Bytes copy = pki.int_a->der();
+  EXPECT_EQ(cache.find(BytesView(copy)), pki.int_a);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+}
+
+TEST(CertCache, DistinctDerOfSameShapeMisses) {
+  CachePki pki;
+  // Same issuer, subject, key and extensions; only serial and notAfter
+  // differ, so the two encodings have the same size and structure.
+  ASSERT_EQ(pki.int_a->der().size(), pki.int_b->der().size());
+  ASSERT_NE(pki.int_a->der(), pki.int_b->der());
+  CertCache<> cache(16, 2);
+  cache.insert(pki.int_a);
+  EXPECT_EQ(cache.find(BytesView(pki.int_b->der())), nullptr);
+  EXPECT_EQ(cache.misses(), 1u);
+  auto parsed = x509::Certificate::parse(BytesView(pki.int_b->der()));
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  EXPECT_EQ(parsed.value()->fingerprint(), pki.int_b->fingerprint());
+  EXPECT_NE(parsed.value()->fingerprint(), pki.int_a->fingerprint());
+}
+
+TEST(CertCache, ByteCompareAloneSeparatesLookupCollisions) {
+  CachePki pki;
+  CertCache<CollidingHash> cache(16, 2);
+  cache.insert(pki.int_a);
+  EXPECT_EQ(cache.find(BytesView(pki.int_a->der())), pki.int_a);
+  // Same lookup key, different bytes: a counted miss, never int_a.
+  EXPECT_EQ(cache.find(BytesView(pki.int_b->der())), nullptr);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+  // int_b takes the shared slot; int_a now misses in turn.
+  cache.insert(pki.int_b);
+  EXPECT_EQ(cache.find(BytesView(pki.int_b->der())), pki.int_b);
+  EXPECT_EQ(cache.find(BytesView(pki.int_a->der())), nullptr);
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.misses(), 2u);
+}
+
+// The same soundness through the service's DER entry point: a replayed
+// request hits for every certificate, and a same-shaped intermediate is a
+// counted miss that verifies along its own path.
+TEST(VerifyServiceCache, CertCacheKeysOnRequestBytes) {
+  CachePki pki;
+  VerifyService service(pki.store, pki.sigs);
+  const Bytes leaf = pki.leaves[0]->der();
+  const std::vector<Bytes> via_a{pki.int_a->der()};
+  const std::vector<Bytes> via_b{pki.int_b->der()};
+
+  VerifyResult first = service.validate(leaf, via_a, pki.options_for(0));
+  ASSERT_TRUE(first.ok) << first.error;
+  EXPECT_EQ(service.stats().cert_misses, 2u);
+  EXPECT_EQ(service.stats().cert_hits, 0u);
+
+  VerifyResult again = service.validate(leaf, via_a, pki.options_for(0));
+  ASSERT_TRUE(again.ok) << again.error;
+  EXPECT_EQ(again.chain, first.chain);  // the same cached CertPtrs
+  EXPECT_EQ(service.stats().cert_hits, 2u);
+
+  VerifyResult other = service.validate(leaf, via_b, pki.options_for(0));
+  ASSERT_TRUE(other.ok) << other.error;
+  EXPECT_EQ(service.stats().cert_misses, 3u);
+  EXPECT_EQ(service.stats().cert_hits, 3u);
+  ASSERT_EQ(other.chain.size(), 3u);
+  EXPECT_EQ(other.chain[1]->fingerprint(), pki.int_b->fingerprint());
 }
 
 // Same root, same leaf, different intermediate: the DER-path fingerprint

@@ -90,7 +90,7 @@ std::set<std::vector<std::string>> reference_paths(
     // By value: deeper push_back calls may reallocate `path`.
     const CertPtr current = path.back();
     if (path.size() >= 2 &&
-        store.find(current->fingerprint_hex()) != nullptr) {
+        store.find(current->fingerprint()) != nullptr) {
       std::vector<std::string> fps;
       fps.reserve(path.size());
       for (const auto& cert : path) fps.push_back(cert->fingerprint_hex());
@@ -144,7 +144,7 @@ TEST(CertificateGraph, CrossSignsCollapseIntoOneLogicalNode) {
   // A distrusted root and its cross-sign are members of the same node, and
   // that node reports as poisoned.
   const CertPtr& distrusted_root = dag.root_certs.back();
-  ASSERT_EQ(dag.store.state_of(distrusted_root->fingerprint_hex()),
+  ASSERT_EQ(dag.store.state_of(distrusted_root->fingerprint()),
             rootstore::TrustState::kDistrusted);
   const GraphNode* node = dag.pool.node_of(*distrusted_root);
   ASSERT_NE(node, nullptr);

@@ -206,7 +206,7 @@ TEST(VerifyService, StressConcurrentVerifyWithMutations) {
       // attaches really get detached and distrusts really get reversed.
       const std::size_t r =
           (static_cast<std::size_t>(m) / 2) % pki.roots.size();
-      const std::string hash = pki.roots[r]->fingerprint_hex();
+      const Sha256::Digest hash = pki.roots[r]->fingerprint();
       service.mutate([&](rootstore::RootStore& store) {
         switch (m % 6) {
           case 0:
@@ -537,9 +537,9 @@ TEST(VerifyService, InterleavedAdoptAndMutateKeepEpochStrictlyIncreasing) {
   std::uint64_t published = service.epoch();
   for (int round = 0; round < 24; ++round) {
     if (round % 2 == 0) {
-      std::string hash(62, 'e');
-      hash += static_cast<char>('0' + round / 10);
-      hash += static_cast<char>('0' + round % 10);
+      Sha256::Digest hash{};
+      hash.fill(0xee);
+      hash.back() = static_cast<std::uint8_t>(round);
       service.mutate([&](rootstore::RootStore& live) {
         live.distrust(hash, "round");
       });

@@ -357,7 +357,7 @@ TEST(Verifier, CustomGccHookIsInvoked) {
 
 TEST(Verifier, DistrustedRootIsNeverUsed) {
   VerifierPki pki;
-  pki.store.distrust(pki.root_a->fingerprint_hex(), "incident");
+  pki.store.distrust(pki.root_a->fingerprint(), "incident");
   ChainVerifier verifier(pki.store, pki.sigs);
   CertPtr leaf = pki.leaf("site.example.org", pki.int_key, pki.int_a->subject());
   VerifyResult result = verifier.verify(leaf, pki.pool, pki.tls("site.example.org"));

@@ -7,6 +7,8 @@ namespace {
 
 const std::string kHash(64, 'a');
 const std::string kOtherHash(64, 'b');
+const Sha256::Digest kRoot = *digest_from_hex(kHash);
+const Sha256::Digest kOtherRoot = *digest_from_hex(kOtherHash);
 
 constexpr const char* kMinimalValid =
     "valid(Chain, \"TLS\") :- leaf(Chain, L), notBefore(L, NB), NB < 100.";
@@ -80,9 +82,9 @@ TEST(GccStore, AttachAndLookup) {
   store.attach(Gcc::create("a", kHash, kMinimalValid).take());
   store.attach(Gcc::create("b", kHash, kMinimalValid).take());
   store.attach(Gcc::create("c", kOtherHash, kMinimalValid).take());
-  EXPECT_EQ(store.for_root(kHash).size(), 2u);
-  EXPECT_EQ(store.for_root(kOtherHash).size(), 1u);
-  EXPECT_TRUE(store.for_root(std::string(64, 'c')).empty());
+  EXPECT_EQ(store.for_root(kRoot).size(), 2u);
+  EXPECT_EQ(store.for_root(kOtherRoot).size(), 1u);
+  EXPECT_TRUE(store.for_root(*digest_from_hex(std::string(64, 'c'))).empty());
   EXPECT_EQ(store.total(), 3u);
   EXPECT_EQ(store.constrained_roots(), 2u);
 }
@@ -91,19 +93,19 @@ TEST(GccStore, ReattachSameNameReplaces) {
   GccStore store;
   store.attach(Gcc::create("a", kHash, kMinimalValid, "v1").take());
   store.attach(Gcc::create("a", kHash, kMinimalValid, "v2").take());
-  ASSERT_EQ(store.for_root(kHash).size(), 1u);
-  EXPECT_EQ(store.for_root(kHash)[0].justification(), "v2");
+  ASSERT_EQ(store.for_root(kRoot).size(), 1u);
+  EXPECT_EQ(store.for_root(kRoot)[0].justification(), "v2");
 }
 
 TEST(GccStore, Detach) {
   GccStore store;
   store.attach(Gcc::create("a", kHash, kMinimalValid).take());
   store.attach(Gcc::create("b", kHash, kMinimalValid).take());
-  EXPECT_TRUE(store.detach(kHash, "a"));
-  EXPECT_EQ(store.for_root(kHash).size(), 1u);
-  EXPECT_FALSE(store.detach(kHash, "a"));  // already gone
-  EXPECT_FALSE(store.detach(kOtherHash, "b"));
-  EXPECT_TRUE(store.detach(kHash, "b"));
+  EXPECT_TRUE(store.detach(kRoot, "a"));
+  EXPECT_EQ(store.for_root(kRoot).size(), 1u);
+  EXPECT_FALSE(store.detach(kRoot, "a"));  // already gone
+  EXPECT_FALSE(store.detach(kOtherRoot, "b"));
+  EXPECT_TRUE(store.detach(kRoot, "b"));
   EXPECT_EQ(store.constrained_roots(), 0u);
 }
 
@@ -113,8 +115,8 @@ TEST(GccStore, RootsSortedIsDeterministic) {
   store.attach(Gcc::create("y", kHash, kMinimalValid).take());
   auto roots = store.roots_sorted();
   ASSERT_EQ(roots.size(), 2u);
-  EXPECT_EQ(roots[0], kHash);
-  EXPECT_EQ(roots[1], kOtherHash);
+  EXPECT_EQ(roots[0], kRoot);
+  EXPECT_EQ(roots[1], kOtherRoot);
 }
 
 }  // namespace

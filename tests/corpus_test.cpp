@@ -170,7 +170,7 @@ TEST(Corpus, RootStoreTrustsAllRoots) {
   rootstore::RootStore store = corpus.make_root_store();
   EXPECT_EQ(store.trusted_count(), corpus.roots().size());
   for (const CaProfile& root : corpus.roots()) {
-    EXPECT_EQ(store.state_of(root.cert->fingerprint_hex()),
+    EXPECT_EQ(store.state_of(root.cert->fingerprint()),
               rootstore::TrustState::kTrusted);
   }
 }

@@ -106,7 +106,7 @@ TEST_P(TextFormatMutation, StoreDeserializeSurvivesMutations) {
   SimKeyPair key = SimSig::keygen("Store Fuzz Root");
   rootstore::RootStore store;
   (void)store.add_trusted(rich_cert());
-  store.distrust(std::string(64, 'a'), "why");
+  store.distrust(*digest_from_hex(std::string(64, 'a')), "why");
   store.attach_gcc(
       core::Gcc::create("g", std::string(64, 'b'),
                         "valid(C, \"TLS\") :- leaf(C, L).")
@@ -132,8 +132,9 @@ TEST_P(TextFormatMutation, StoreDeserializeSurvivesMutations) {
 
 TEST_P(TextFormatMutation, DeltaDeserializeSurvivesMutations) {
   rsf::StoreDelta delta;
-  delta.distrust.emplace_back(std::string(64, 'c'), "incident");
-  delta.forget.push_back(std::string(64, 'd'));
+  delta.distrust.emplace_back(*digest_from_hex(std::string(64, 'c')),
+                              "incident");
+  delta.forget.push_back(*digest_from_hex(std::string(64, 'd')));
   delta.attach_gccs.push_back(
       core::Gcc::create("g", std::string(64, 'e'),
                         "valid(C, \"TLS\") :- leaf(C, L).")

@@ -142,9 +142,9 @@ TEST(Integration, EmergencyDistrustViaFeedStopsMitm) {
 
   // Incident response: distrust the compromised intermediate's root.
   const auto& intermediate = corpus.intermediates()[0];
-  const std::string root_hash =
+  const Sha256::Digest& root_hash =
       corpus.roots()[static_cast<std::size_t>(intermediate.parent_root)]
-          .cert->fingerprint_hex();
+          .cert->fingerprint();
   primary.distrust(root_hash, "key compromise");
   feed.publish(primary, now, "emergency");
   derivative.poll_now(now + 3600);

@@ -110,7 +110,7 @@ TEST(VerifierMetadata, GccOnDistrustedRootNeverRuns) {
       core::Gcc::for_certificate("allow-everything", *pki.root,
                                  "valid(Chain, _) :- leaf(Chain, L).")
           .take());
-  pki.store.distrust(pki.root->fingerprint_hex(), "incident");
+  pki.store.distrust(pki.root->fingerprint(), "incident");
   chain::CertificatePool pool;
   pool.add(pki.intermediate);
   chain::ChainVerifier verifier(pki.store, pki.sigs);
@@ -189,12 +189,12 @@ TEST(RootStoreEdge, GccsSurviveDistrustAndForget) {
       core::Gcc::for_certificate("sticky", *pki.root,
                                  "valid(Chain, _) :- leaf(Chain, L).")
           .take());
-  pki.store.distrust(pki.root->fingerprint_hex(), "x");
+  pki.store.distrust(pki.root->fingerprint(), "x");
   EXPECT_EQ(pki.store.gccs().total(), 1u);
   auto round = rootstore::RootStore::deserialize(pki.store.serialize());
   ASSERT_TRUE(round.ok()) << round.error();
   EXPECT_EQ(round.value().gccs().total(), 1u);
-  EXPECT_EQ(round.value().state_of(pki.root->fingerprint_hex()),
+  EXPECT_EQ(round.value().state_of(pki.root->fingerprint()),
             rootstore::TrustState::kDistrusted);
 }
 

@@ -209,7 +209,7 @@ TEST(PolicyVerifierTest, RejectsUntrustedRoot) {
 
 TEST(PolicyVerifierTest, DistrustedRootIsNotAnAnchor) {
   PolicyPki pki;
-  pki.store.distrust(pki.root->fingerprint_hex(), "incident");
+  pki.store.distrust(pki.root->fingerprint(), "incident");
   PolicyVerifier logical(pki.store, pki.sigs);
   CertPtr leaf = pki.leaf("ok.example.org", pki.int_key, pki.intermediate);
   EXPECT_FALSE(logical.verify(leaf, pki.pool, pki.tls("ok.example.org")).ok);

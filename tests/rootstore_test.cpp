@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "util/rng.hpp"
 #include "util/time.hpp"
 #include "x509/builder.hpp"
 
@@ -33,11 +36,12 @@ TEST(RootStore, TrustStates) {
   CertPtr a = make_root("A");
   CertPtr b = make_root("B");
   ASSERT_TRUE(store.add_trusted(a).ok());
-  store.distrust(b->fingerprint_hex(), "incident");
+  store.distrust(b->fingerprint(), "incident");
 
-  EXPECT_EQ(store.state_of(a->fingerprint_hex()), TrustState::kTrusted);
-  EXPECT_EQ(store.state_of(b->fingerprint_hex()), TrustState::kDistrusted);
-  EXPECT_EQ(store.state_of(std::string(64, '0')), TrustState::kUnknown);
+  EXPECT_EQ(store.state_of(a->fingerprint()), TrustState::kTrusted);
+  EXPECT_EQ(store.state_of(b->fingerprint()), TrustState::kDistrusted);
+  EXPECT_EQ(store.state_of(*digest_from_hex(std::string(64, '0'))),
+            TrustState::kUnknown);
   EXPECT_EQ(store.trusted_count(), 1u);
   EXPECT_EQ(store.distrusted_count(), 1u);
 }
@@ -46,26 +50,26 @@ TEST(RootStore, DistrustMovesOutOfTrustedSet) {
   RootStore store;
   CertPtr a = make_root("A");
   ASSERT_TRUE(store.add_trusted(a).ok());
-  store.distrust(a->fingerprint_hex(), "compromised");
-  EXPECT_EQ(store.state_of(a->fingerprint_hex()), TrustState::kDistrusted);
+  store.distrust(a->fingerprint(), "compromised");
+  EXPECT_EQ(store.state_of(a->fingerprint()), TrustState::kDistrusted);
   EXPECT_EQ(store.trusted_count(), 0u);
-  EXPECT_EQ(store.find(a->fingerprint_hex()), nullptr);
+  EXPECT_EQ(store.find(a->fingerprint()), nullptr);
 }
 
 TEST(RootStore, NegativeInclusionBlocksReTrust) {
   RootStore store;
   CertPtr a = make_root("A");
-  store.distrust(a->fingerprint_hex(), "removed by primary");
+  store.distrust(a->fingerprint(), "removed by primary");
   Status s = store.add_trusted(a);
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.error().find("distrusted"), std::string::npos);
-  EXPECT_EQ(store.state_of(a->fingerprint_hex()), TrustState::kDistrusted);
+  EXPECT_EQ(store.state_of(a->fingerprint()), TrustState::kDistrusted);
 }
 
 TEST(RootStore, UncheckedAddModelsNonCompliantDerivative) {
   RootStore store;
   CertPtr a = make_root("A");
-  store.distrust(a->fingerprint_hex(), "removed");
+  store.distrust(a->fingerprint(), "removed");
   store.add_trusted_unchecked(a);
   // Both sets now mention the root — the dangerous state merge flags.
   EXPECT_EQ(store.trusted_count(), 1u);
@@ -76,9 +80,9 @@ TEST(RootStore, ForgetReturnsToUnknown) {
   RootStore store;
   CertPtr a = make_root("A");
   ASSERT_TRUE(store.add_trusted(a).ok());
-  EXPECT_TRUE(store.forget(a->fingerprint_hex()));
-  EXPECT_EQ(store.state_of(a->fingerprint_hex()), TrustState::kUnknown);
-  EXPECT_FALSE(store.forget(a->fingerprint_hex()));
+  EXPECT_TRUE(store.forget(a->fingerprint()));
+  EXPECT_EQ(store.state_of(a->fingerprint()), TrustState::kUnknown);
+  EXPECT_FALSE(store.forget(a->fingerprint()));
   // After forgetting, re-trust is allowed again.
   EXPECT_TRUE(store.add_trusted(a).ok());
 }
@@ -90,14 +94,14 @@ TEST(RootStore, MetadataStoredAndUpdated) {
   metadata.ev_allowed = true;
   metadata.tls_distrust_after = 12345;
   ASSERT_TRUE(store.add_trusted(a, metadata).ok());
-  const RootEntry* entry = store.find(a->fingerprint_hex());
+  const RootEntry* entry = store.find(a->fingerprint());
   ASSERT_NE(entry, nullptr);
   EXPECT_TRUE(entry->metadata.ev_allowed);
   EXPECT_EQ(entry->metadata.tls_distrust_after, 12345);
 
   metadata.ev_allowed = false;
   ASSERT_TRUE(store.add_trusted(a, metadata).ok());  // update in place
-  EXPECT_FALSE(store.find(a->fingerprint_hex())->metadata.ev_allowed);
+  EXPECT_FALSE(store.find(a->fingerprint())->metadata.ev_allowed);
   EXPECT_EQ(store.trusted_count(), 1u);
 }
 
@@ -126,7 +130,8 @@ TEST(RootStore, SerializeDeserializeRoundTrip) {
   metadata.justification = "TrustCor-style constraints\nwith a newline";
   ASSERT_TRUE(store.add_trusted(a, metadata).ok());
   ASSERT_TRUE(store.add_trusted(b).ok());
-  store.distrust(std::string(64, 'e'), "WoSign-style removal");
+  store.distrust(*digest_from_hex(std::string(64, 'e')),
+                 "WoSign-style removal");
   store.attach_gcc(
       core::Gcc::create("constraint-1", a->fingerprint_hex(), kValidGcc,
                         "justified")
@@ -139,11 +144,11 @@ TEST(RootStore, SerializeDeserializeRoundTrip) {
 
   EXPECT_EQ(copy.trusted_count(), 2u);
   EXPECT_EQ(copy.distrusted_count(), 1u);
-  const RootEntry* entry = copy.find(a->fingerprint_hex());
+  const RootEntry* entry = copy.find(a->fingerprint());
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->metadata, metadata);
   EXPECT_EQ(copy.gccs().total(), 1u);
-  const auto& gccs = copy.gccs().for_root(a->fingerprint_hex());
+  const auto& gccs = copy.gccs().for_root(a->fingerprint());
   ASSERT_EQ(gccs.size(), 1u);
   EXPECT_EQ(gccs[0].name(), "constraint-1");
   EXPECT_EQ(gccs[0].source(), kValidGcc);
@@ -155,7 +160,7 @@ TEST(RootStore, SerializationIsDeterministic) {
     RootStore store;
     (void)store.add_trusted(make_root("A"));
     (void)store.add_trusted(make_root("B"));
-    store.distrust(std::string(64, 'd'), "x");
+    store.distrust(*digest_from_hex(std::string(64, 'd')), "x");
     return store;
   };
   EXPECT_EQ(build().serialize(), build().serialize());
@@ -166,7 +171,7 @@ TEST(RootStore, ContentHashChangesWithContent) {
   RootStore store;
   (void)store.add_trusted(make_root("A"));
   std::string before = store.content_hash_hex();
-  store.distrust(std::string(64, 'f'), "y");
+  store.distrust(*digest_from_hex(std::string(64, 'f')), "y");
   EXPECT_NE(store.content_hash_hex(), before);
 }
 
@@ -222,7 +227,7 @@ TEST(RootStore, EpochAdvancesOnEveryMutation) {
   RootStore store;
   EXPECT_EQ(store.epoch(), 0u);
   CertPtr a = make_root("A");
-  const std::string hash = a->fingerprint_hex();
+  const Sha256::Digest hash = a->fingerprint();
 
   ASSERT_TRUE(store.add_trusted(a).ok());
   std::uint64_t last = store.epoch();
@@ -236,7 +241,8 @@ TEST(RootStore, EpochAdvancesOnEveryMutation) {
   EXPECT_GT(store.epoch(), last);
   last = store.epoch();
 
-  EXPECT_FALSE(store.forget(std::string(64, 'f')));  // no-op: may hold still
+  // No-op: the epoch may hold still.
+  EXPECT_FALSE(store.forget(*digest_from_hex(std::string(64, 'f'))));
   EXPECT_GE(store.epoch(), last);
   last = store.epoch();
 
@@ -265,7 +271,7 @@ TEST(RootStore, ByteIdenticalMutationsKeepEpoch) {
   RootMetadata metadata;
   metadata.ev_allowed = true;
   ASSERT_TRUE(store.add_trusted(a, metadata).ok());
-  store.distrust(std::string(64, 'd'), "incident");
+  store.distrust(*digest_from_hex(std::string(64, 'd')), "incident");
   const std::uint64_t settled = store.epoch();
 
   // Same cert, same metadata: no-ops on both entry points.
@@ -274,7 +280,7 @@ TEST(RootStore, ByteIdenticalMutationsKeepEpoch) {
   store.add_trusted_unchecked(a, metadata);
   EXPECT_EQ(store.epoch(), settled);
   // Same hash, same justification: no-op distrust.
-  store.distrust(std::string(64, 'd'), "incident");
+  store.distrust(*digest_from_hex(std::string(64, 'd')), "incident");
   EXPECT_EQ(store.epoch(), settled);
 
   // Observable changes still advance it.
@@ -283,7 +289,7 @@ TEST(RootStore, ByteIdenticalMutationsKeepEpoch) {
   store.add_trusted_unchecked(a, stricter);
   EXPECT_GT(store.epoch(), settled);
   const std::uint64_t after_metadata = store.epoch();
-  store.distrust(std::string(64, 'd'), "new justification");
+  store.distrust(*digest_from_hex(std::string(64, 'd')), "new justification");
   EXPECT_GT(store.epoch(), after_metadata);
 }
 
@@ -293,7 +299,7 @@ TEST(RootStore, DistrustOfTrustedRootAlwaysAdvancesEpoch) {
   // observable change and must invalidate caches.
   RootStore store;
   CertPtr a = make_root("A");
-  const std::string hash = a->fingerprint_hex();
+  const Sha256::Digest hash = a->fingerprint();
   store.distrust(hash, "incident");
   store.add_trusted_unchecked(a);
   const std::uint64_t trusted_epoch = store.epoch();
@@ -312,7 +318,7 @@ TEST(RootStore, ByteIdenticalGccReattachLeavesEpochUnchanged) {
   RootStore store;
   CertPtr a = make_root("A");
   ASSERT_TRUE(store.add_trusted(a).ok());
-  const std::string hash = a->fingerprint_hex();
+  const Sha256::Digest hash = a->fingerprint();
   core::Gcc gcc = core::Gcc::create("g", hash, kValidGcc, "why").take();
   store.attach_gcc(gcc);
   const std::uint64_t settled = store.epoch();
@@ -344,7 +350,7 @@ TEST(RootStore, EpochNeverRepeatsAcrossMixedMutations) {
   CertPtr a = make_root("A");
   CertPtr b = make_root("B");
   ASSERT_TRUE(store.add_trusted(a).ok());
-  const std::string hash = a->fingerprint_hex();
+  const Sha256::Digest hash = a->fingerprint();
   std::uint64_t last = store.epoch();
   auto expect_advanced = [&](const char* what) {
     EXPECT_GT(store.epoch(), last) << "epoch repeated after " << what;
@@ -359,9 +365,90 @@ TEST(RootStore, EpochNeverRepeatsAcrossMixedMutations) {
     expect_advanced("add_trusted");
     EXPECT_TRUE(store.detach_gcc(hash, "g" + std::to_string(round)));
     expect_advanced("detach");
-    store.forget(b->fingerprint_hex());
+    store.forget(b->fingerprint());
     expect_advanced("forget");
   }
+}
+
+// The subject index must agree with a scan of trusted() — same entries, same
+// (insertion) order — through every kind of mutation, and a copy taken
+// mid-way must keep answering for its own content after the original moves
+// on (copies share the immutable entries the index points at).
+TEST(RootStore, SubjectIndexMatchesTrustedScanThroughMutations) {
+  std::vector<CertPtr> roots;
+  for (int i = 0; i < 9; ++i) {
+    // Three subjects, three keys each: the re-keyed and cross-signed root
+    // case, several anchors behind one issuer DN.
+    SimKeyPair key = SimSig::keygen("Index Root key " + std::to_string(i));
+    const DistinguishedName name =
+        DistinguishedName::make("Index Root " + std::to_string(i % 3), "Org");
+    roots.push_back(CertificateBuilder()
+                        .serial(i + 1)
+                        .subject(name)
+                        .issuer(name)
+                        .validity(0, unix_date(2040, 1, 1))
+                        .public_key(key.key_id)
+                        .ca(std::nullopt)
+                        .sign(key)
+                        .take());
+  }
+  const auto expect_index_matches_scan = [&](const RootStore& store,
+                                             const std::string& context) {
+    std::size_t indexed = 0;
+    for (const CertPtr& probe : roots) {
+      std::vector<const RootEntry*> scanned;
+      for (const RootEntry* entry : store.trusted()) {
+        if (entry->cert->subject() == probe->subject()) {
+          scanned.push_back(entry);
+        }
+      }
+      const auto served = store.trusted_by_subject(probe->subject());
+      ASSERT_EQ(served.size(), scanned.size()) << context;
+      for (std::size_t i = 0; i < scanned.size(); ++i) {
+        EXPECT_EQ(served[i], scanned[i]) << context;
+      }
+      indexed += served.size();
+    }
+    EXPECT_EQ(indexed, 3 * store.trusted_count()) << context;
+  };
+
+  RootStore store;
+  Rng rng(0x1dea5eedULL);
+  std::optional<RootStore> copy;
+  std::string copy_serialized;
+  for (int step = 0; step < 300; ++step) {
+    const CertPtr& root = roots[rng.uniform(roots.size())];
+    const std::string context = "step " + std::to_string(step);
+    switch (rng.uniform(4)) {
+      case 0:
+        (void)store.add_trusted(root);
+        break;
+      case 1: {  // metadata update: the entry is replaced in place
+        RootMetadata metadata;
+        metadata.ev_allowed = rng.chance(0.5);
+        metadata.tls_distrust_after = static_cast<std::int64_t>(step);
+        store.add_trusted_unchecked(root, metadata);
+        break;
+      }
+      case 2:
+        store.distrust(root->fingerprint(), "step");
+        break;
+      default:
+        store.forget(root->fingerprint());
+        break;
+    }
+    expect_index_matches_scan(store, context);
+    if (step == 150) {
+      copy = store;
+      copy_serialized = store.serialize();
+    }
+  }
+  ASSERT_TRUE(copy.has_value());
+  EXPECT_EQ(copy->serialize(), copy_serialized);
+  expect_index_matches_scan(*copy, "copy");
+  EXPECT_TRUE(store.trusted_by_subject(
+                       DistinguishedName::make("Nobody", "Org"))
+                  .empty());
 }
 
 TEST(RootStore, AdvanceEpochPastForcesProgress) {

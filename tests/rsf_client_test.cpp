@@ -110,8 +110,7 @@ TEST(RsfClient, DistrustPropagatesOnNextPoll) {
   feed.publish(primary, 1, "r1");
   RsfClient client(feed, 3600);
   client.poll_now(10);
-  const std::string victim =
-      primary.trusted()[0]->cert->fingerprint_hex();
+  const Sha256::Digest victim = primary.trusted()[0]->cert->fingerprint();
   primary.distrust(victim, "incident");
   feed.publish(primary, 2, "emergency");
   client.poll_now(20);
@@ -132,7 +131,7 @@ TEST(RsfClient, LocalStoreIsMergedOnEveryUpdate) {
   client.set_local_store(local);
   client.poll_now(10);
   EXPECT_EQ(client.store().trusted_count(), 2u);
-  EXPECT_EQ(client.store().state_of(imported->fingerprint_hex()),
+  EXPECT_EQ(client.store().state_of(imported->fingerprint()),
             rootstore::TrustState::kTrusted);
 
   // A second snapshot keeps the local augmentation.
@@ -146,7 +145,7 @@ TEST(RsfClient, LocalReAddOfDistrustedRootCountsConflicts) {
   Feed feed("nss", registry);
   CertPtr bad = make_root("Bad Root");
   rootstore::RootStore primary;
-  primary.distrust(bad->fingerprint_hex(), "incident");
+  primary.distrust(bad->fingerprint(), "incident");
   feed.publish(primary, 1, "r1");
 
   rootstore::RootStore local;
@@ -156,7 +155,7 @@ TEST(RsfClient, LocalReAddOfDistrustedRootCountsConflicts) {
   client.poll_now(10);
   EXPECT_EQ(client.stats().merge_conflicts, 1u);
   // Primary wins by default.
-  EXPECT_EQ(client.store().state_of(bad->fingerprint_hex()),
+  EXPECT_EQ(client.store().state_of(bad->fingerprint()),
             rootstore::TrustState::kDistrusted);
 }
 
@@ -173,7 +172,7 @@ TEST(RsfClient, GccsArriveThroughTheFeed) {
   RsfClient client(feed, 3600);
   client.poll_now(10);
   EXPECT_EQ(client.store().gccs().total(), 1u);
-  EXPECT_EQ(client.store().gccs().for_root(root->fingerprint_hex())[0].name(),
+  EXPECT_EQ(client.store().gccs().for_root(root->fingerprint())[0].name(),
             "c1");
 }
 
@@ -207,7 +206,7 @@ TEST(ManualMirror, StripGccsModelsBareCollectionDerivative) {
   EXPECT_EQ(stripping.store().trusted_count(), 1u);
   EXPECT_EQ(stripping.store().gccs().total(), 0u);  // imprecision problem
   EXPECT_FALSE(stripping.store()
-                   .find(root->fingerprint_hex())
+                   .find(root->fingerprint())
                    ->metadata.tls_distrust_after.has_value());
 
   ManualMirrorClient faithful(feed, /*strip_gccs=*/false);
@@ -262,13 +261,13 @@ TEST(RsfClientDelta, DeltaTransportTracksFullTransport) {
   EXPECT_EQ(full.store().serialize(), delta.store().serialize());
 
   // A sequence of evolutions; the delta client must stay byte-identical.
-  primary.distrust(roots[3]->fingerprint_hex(), "incident A");
+  primary.distrust(roots[3]->fingerprint(), "incident A");
   feed.publish(primary, 300, "r2");
   primary.attach_gcc(core::Gcc::create("g", roots[5]->fingerprint_hex(),
                                           "valid(C, _) :- leaf(C, L).")
                             .take());
   feed.publish(primary, 400, "r3");
-  primary.forget(roots[3]->fingerprint_hex());
+  primary.forget(roots[3]->fingerprint());
   feed.publish(primary, 500, "r4");
 
   full.poll_now(600);
@@ -302,7 +301,7 @@ TEST(RsfClientDelta, DeltaTransportSavesBandwidthOnSmallChanges) {
 
   // Ten one-root emergency updates.
   for (int i = 0; i < 10; ++i) {
-    primary.distrust(roots[static_cast<std::size_t>(i)]->fingerprint_hex(),
+    primary.distrust(roots[static_cast<std::size_t>(i)]->fingerprint(),
                      "incident");
     feed.publish(primary, 300 + i, "emergency");
     full.poll_now(1000 + i);
@@ -486,7 +485,7 @@ TEST(RsfClientProperty, ExposedStoreIsAlwaysAVerifiedPrimaryMergedWithLocal) {
               "Prop Root s" + std::to_string(seed) + " " +
               std::to_string(step)));
         } else if (!primary.trusted().empty()) {
-          primary.distrust(primary.trusted()[0]->cert->fingerprint_hex(),
+          primary.distrust(primary.trusted()[0]->cert->fingerprint(),
                            "prop incident");
         }
         publish(now);

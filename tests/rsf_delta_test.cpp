@@ -55,7 +55,7 @@ TEST(StoreDelta, DiffDetectsAllChangeKinds) {
   rootstore::RootMetadata strict;
   strict.tls_distrust_after = 500;
   (void)to.add_trusted(a, strict);          // metadata change
-  to.distrust(b->fingerprint_hex(), "bad"); // trusted -> distrusted
+  to.distrust(b->fingerprint(), "bad"); // trusted -> distrusted
   (void)to.add_trusted(c);                  // new root
   to.attach_gcc(core::Gcc::create("new", c->fingerprint_hex(), kGcc).take());
   // "old" gcc dropped
@@ -75,12 +75,12 @@ TEST(StoreDelta, ApplyReplaysDiff) {
   rootstore::RootStore from;
   (void)from.add_trusted(a);
   (void)from.add_trusted(b);
-  from.distrust(std::string(64, 'd'), "old removal");
+  from.distrust(*digest_from_hex(std::string(64, 'd')), "old removal");
   from.attach_gcc(core::Gcc::create("g1", a->fingerprint_hex(), kGcc).take());
 
   rootstore::RootStore to;
   (void)to.add_trusted(a);
-  to.distrust(b->fingerprint_hex(), "incident");
+  to.distrust(b->fingerprint(), "incident");
   (void)to.add_trusted(c);
   // the old distrust entry is forgotten (expired housekeeping)
   to.attach_gcc(core::Gcc::create("g2", c->fingerprint_hex(), kGcc).take());
@@ -95,14 +95,14 @@ TEST(StoreDelta, ApplyReplaysDiff) {
 TEST(StoreDelta, ApplyHandlesReTrustAfterDistrust) {
   CertPtr a = make_root("A");
   rootstore::RootStore from;
-  from.distrust(a->fingerprint_hex(), "temporary");
+  from.distrust(a->fingerprint(), "temporary");
   rootstore::RootStore to;
   (void)to.add_trusted(a);  // the primary changed its mind
   StoreDelta delta = StoreDelta::diff(from, to);
   rootstore::RootStore replayed = from;
   delta.apply(replayed);
   EXPECT_TRUE(stores_equal(replayed, to));
-  EXPECT_EQ(replayed.state_of(a->fingerprint_hex()),
+  EXPECT_EQ(replayed.state_of(a->fingerprint()),
             rootstore::TrustState::kTrusted);
 }
 
@@ -115,11 +115,11 @@ TEST(StoreDelta, SerializeRoundTrip) {
   metadata.smime_distrust_after = 777;
   metadata.justification = "multi\nline";
   delta.add_trusted.push_back(StoreDelta::TrustChange{a, metadata});
-  delta.distrust.emplace_back(b->fingerprint_hex(), "why");
-  delta.forget.push_back(std::string(64, 'e'));
+  delta.distrust.emplace_back(b->fingerprint(), "why");
+  delta.forget.push_back(*digest_from_hex(std::string(64, 'e')));
   delta.attach_gccs.push_back(
       core::Gcc::create("g", a->fingerprint_hex(), kGcc, "j").take());
-  delta.detach_gccs.emplace_back(b->fingerprint_hex(), "old name");
+  delta.detach_gccs.emplace_back(b->fingerprint(), "old name");
 
   auto parsed = StoreDelta::deserialize(delta.serialize());
   ASSERT_TRUE(parsed.ok()) << parsed.error();
@@ -135,6 +135,22 @@ TEST(StoreDelta, DeserializeRejectsMalformed) {
       StoreDelta::deserialize("anchor-store-delta/v1\nbogus x\n").ok());
   EXPECT_FALSE(
       StoreDelta::deserialize("anchor-store-delta/v1\ndistrust short\n").ok());
+  // Hash lines go through the strict digest parser: 64 characters is not
+  // enough, they must be lowercase hex.
+  const std::string upper(64, 'A');
+  const std::string non_hex(64, 'g');
+  EXPECT_FALSE(StoreDelta::deserialize("anchor-store-delta/v1\ndistrust " +
+                                       upper + "\n")
+                   .ok());
+  EXPECT_FALSE(
+      StoreDelta::deserialize("anchor-store-delta/v1\nforget " + non_hex + "\n")
+          .ok());
+  EXPECT_FALSE(StoreDelta::deserialize("anchor-store-delta/v1\ndetach-gcc " +
+                                       non_hex + " Zw==\n")
+                   .ok());
+  EXPECT_TRUE(StoreDelta::deserialize("anchor-store-delta/v1\nforget " +
+                                      std::string(64, 'a') + "\n")
+                  .ok());
   EXPECT_TRUE(StoreDelta::deserialize("anchor-store-delta/v1\n").ok());
 }
 
@@ -169,7 +185,8 @@ TEST_P(DeltaRoundTrip, DiffApplyIsIdentity) {
                                   .take());
         }
       } else if (coin < 0.6) {
-        store.distrust(root->fingerprint_hex(), "r" + std::to_string(rng.uniform(9)));
+        store.distrust(root->fingerprint(),
+                       "r" + std::to_string(rng.uniform(9)));
       }  // else: unknown
     };
     populate(from);
@@ -207,7 +224,7 @@ TEST(StoreDelta, RedundantReplayLeavesEpochUnchanged) {
   rootstore::RootMetadata metadata;
   metadata.ev_allowed = true;
   (void)to.add_trusted(a, metadata);     // metadata change
-  to.distrust(b->fingerprint_hex(), "incident");
+  to.distrust(b->fingerprint(), "incident");
 
   StoreDelta delta = StoreDelta::diff(from, to);
   rootstore::RootStore replayed = from;
@@ -230,7 +247,7 @@ TEST(StoreDelta, BandwidthAdvantageOverFullSnapshot) {
     (void)store.add_trusted(roots.back());
   }
   rootstore::RootStore after = store;
-  after.distrust(roots[7]->fingerprint_hex(), "incident");
+  after.distrust(roots[7]->fingerprint(), "incident");
 
   StoreDelta delta = StoreDelta::diff(store, after);
   EXPECT_EQ(delta.operations(), 1u);

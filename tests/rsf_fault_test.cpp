@@ -387,7 +387,7 @@ TEST(RsfFault, DeltaTransportUnderChaosStaysConsistent) {
   for (int step = 1; step <= 200; ++step) {
     if (step % 10 == 0) {
       primary.distrust(
-          primary.trusted()[0]->cert->fingerprint_hex(), "incident");
+          primary.trusted()[0]->cert->fingerprint(), "incident");
       (void)primary.add_trusted(make_root("Delta Root " +
                                           std::to_string(step)));
       feed.publish(primary, clock.now(), "update");

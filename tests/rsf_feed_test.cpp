@@ -143,7 +143,7 @@ TEST(Feed, PayloadDeserializesToEquivalentStore) {
   SimSig registry;
   Feed feed("nss", registry);
   rootstore::RootStore store = store_with({"A", "B"});
-  store.distrust(std::string(64, 'c'), "bad root");
+  store.distrust(*digest_from_hex(std::string(64, 'c')), "bad root");
   feed.publish(store, 1, "release");
   auto parsed = rootstore::RootStore::deserialize(feed.at(1)->payload);
   ASSERT_TRUE(parsed.ok()) << parsed.error();

@@ -51,7 +51,7 @@ TEST(Merge, FlagsDistrustedReAdd) {
   // The Amazon Linux case: derivative re-adds roots NSS removed.
   CertPtr removed = make_root("Removed Root");
   rootstore::RootStore primary;
-  primary.distrust(removed->fingerprint_hex(), "compliance incident");
+  primary.distrust(removed->fingerprint(), "compliance incident");
   rootstore::RootStore derivative;
   (void)derivative.add_trusted(removed);
 
@@ -60,20 +60,20 @@ TEST(Merge, FlagsDistrustedReAdd) {
   EXPECT_EQ(result.conflicts[0].kind, ConflictKind::kDistrustedReAdded);
   EXPECT_EQ(result.conflicts[0].root_hash, removed->fingerprint_hex());
   // Primary wins: the root stays distrusted.
-  EXPECT_EQ(result.merged.state_of(removed->fingerprint_hex()),
+  EXPECT_EQ(result.merged.state_of(removed->fingerprint()),
             rootstore::TrustState::kDistrusted);
 }
 
 TEST(Merge, DerivativeWinsPolicyReAddsRoot) {
   CertPtr removed = make_root("Removed Root");
   rootstore::RootStore primary;
-  primary.distrust(removed->fingerprint_hex(), "incident");
+  primary.distrust(removed->fingerprint(), "incident");
   rootstore::RootStore derivative;
   (void)derivative.add_trusted(removed);
 
   MergeResult result = merge(primary, derivative, MergePolicy::kDerivativeWins);
   ASSERT_EQ(result.conflicts.size(), 1u);  // still flagged
-  EXPECT_EQ(result.merged.state_of(removed->fingerprint_hex()),
+  EXPECT_EQ(result.merged.state_of(removed->fingerprint()),
             rootstore::TrustState::kTrusted);
 }
 
@@ -84,7 +84,7 @@ TEST(Merge, SixteenReAddedRootsProduceSixteenConflicts) {
   rootstore::RootStore derivative;
   for (int i = 0; i < 16; ++i) {
     CertPtr root = make_root("ReAdded " + std::to_string(i));
-    primary.distrust(root->fingerprint_hex(), "removed by NSS");
+    primary.distrust(root->fingerprint(), "removed by NSS");
     (void)derivative.add_trusted(root);
   }
   MergeResult result = merge(primary, derivative);
@@ -107,7 +107,7 @@ TEST(Merge, MetadataMismatchFlagged) {
   ASSERT_EQ(result.conflicts.size(), 1u);
   EXPECT_EQ(result.conflicts[0].kind, ConflictKind::kMetadataMismatch);
   // Primary metadata survives.
-  EXPECT_EQ(result.merged.find(shared->fingerprint_hex())
+  EXPECT_EQ(result.merged.find(shared->fingerprint())
                 ->metadata.tls_distrust_after,
             1000);
 }
@@ -128,10 +128,10 @@ TEST(Merge, DerivativeLocalDistrustNarrowsTrust) {
   rootstore::RootStore primary;
   (void)primary.add_trusted(root);
   rootstore::RootStore derivative;
-  derivative.distrust(root->fingerprint_hex(), "local policy");
+  derivative.distrust(root->fingerprint(), "local policy");
 
   MergeResult result = merge(primary, derivative);
-  EXPECT_EQ(result.merged.state_of(root->fingerprint_hex()),
+  EXPECT_EQ(result.merged.state_of(root->fingerprint()),
             rootstore::TrustState::kDistrusted);
   EXPECT_EQ(result.conflicts.size(), 1u);  // surfaced as divergence
 }
@@ -151,8 +151,8 @@ TEST(Merge, GccsAreUnioned) {
 
   MergeResult result = merge(primary, derivative);
   EXPECT_EQ(result.merged.gccs().total(), 2u);
-  EXPECT_EQ(result.merged.gccs().for_root(a->fingerprint_hex()).size(), 1u);
-  EXPECT_EQ(result.merged.gccs().for_root(b->fingerprint_hex()).size(), 1u);
+  EXPECT_EQ(result.merged.gccs().for_root(a->fingerprint()).size(), 1u);
+  EXPECT_EQ(result.merged.gccs().for_root(b->fingerprint()).size(), 1u);
 }
 
 TEST(Merge, PrimaryGccWinsNameCollision) {
@@ -168,7 +168,7 @@ TEST(Merge, PrimaryGccWinsNameCollision) {
           .take());
 
   MergeResult result = merge(primary, derivative);
-  const auto& gccs = result.merged.gccs().for_root(a->fingerprint_hex());
+  const auto& gccs = result.merged.gccs().for_root(a->fingerprint());
   ASSERT_EQ(gccs.size(), 1u);
   EXPECT_EQ(gccs[0].justification(), "primary");
 }
@@ -179,7 +179,7 @@ TEST(Merge, BothDistrustSameRootKeepsPrimaryJustification) {
   // id) and must survive the merge; it used to be silently overwritten by
   // the derivative's copy.
   CertPtr root = make_root("Twice Removed");
-  const std::string hash = root->fingerprint_hex();
+  const Sha256::Digest hash = root->fingerprint();
   rootstore::RootStore primary;
   primary.distrust(hash, "CVE-2023-0001 (NSS bug 1234567)");
   rootstore::RootStore derivative;
@@ -195,7 +195,7 @@ TEST(Merge, DerivativeJustificationFillsUnexplainedPrimaryDistrust) {
   // The one both-distrust case where the derivative adds information: the
   // primary never said why.
   CertPtr root = make_root("Unexplained");
-  const std::string hash = root->fingerprint_hex();
+  const Sha256::Digest hash = root->fingerprint();
   rootstore::RootStore primary;
   primary.distrust(hash);
   rootstore::RootStore derivative;
@@ -214,13 +214,13 @@ TEST(Merge, LocalDistrustGetsDedicatedConflictKind) {
   rootstore::RootStore primary;
   (void)primary.add_trusted(root);
   rootstore::RootStore derivative;
-  derivative.distrust(root->fingerprint_hex(), "local policy");
+  derivative.distrust(root->fingerprint(), "local policy");
 
   MergeResult result = merge(primary, derivative);
   ASSERT_EQ(result.conflicts.size(), 1u);
   EXPECT_EQ(result.conflicts[0].kind, ConflictKind::kLocalDistrust);
   EXPECT_STREQ(to_string(result.conflicts[0].kind), "local-distrust");
-  EXPECT_EQ(result.merged.state_of(root->fingerprint_hex()),
+  EXPECT_EQ(result.merged.state_of(root->fingerprint()),
             rootstore::TrustState::kDistrusted);
 }
 
@@ -236,7 +236,7 @@ TEST(Merge, GccUnionDedupesManyOverlappingNames) {
   // Exercises the per-root name-set dedup path (the old nested scan was
   // quadratic; see bench_rsf_merge's many-GCCs case for the perf side).
   CertPtr a = make_root("A");
-  const std::string hash = a->fingerprint_hex();
+  const Sha256::Digest hash = a->fingerprint();
   rootstore::RootStore primary;
   (void)primary.add_trusted(a);
   rootstore::RootStore derivative;
@@ -286,7 +286,7 @@ TEST(Merge, OutputInvariantUnderInsertionOrder) {
     rootstore::RootStore derivative;
     for (int index : order) {
       const CertPtr& root = roots[index];
-      const std::string hash = root->fingerprint_hex();
+      const Sha256::Digest hash = root->fingerprint();
       if (index % 3 == 0) {
         primary.distrust(hash, "incident " + std::to_string(index));
       } else {
@@ -375,8 +375,8 @@ TEST(Merge, ThreeStoreFoldOrderIsVerdictInvariant) {
 
     rootstore::RootStore a, b, c;
     for (int i = 0; i < kRoots; ++i) {
-      const std::string hash = roots[static_cast<std::size_t>(i)]
-                                   ->fingerprint_hex();
+      const Sha256::Digest& hash =
+          roots[static_cast<std::size_t>(i)]->fingerprint();
       // Primary: trusts most roots, distrusts a few, skips a few.
       if (rng.chance(0.15)) {
         a.distrust(hash, "primary incident");

@@ -16,6 +16,8 @@
 
 #include "chain/service.hpp"
 #include "chain/verifier.hpp"
+#include "corpus/census.hpp"
+#include "corpus/corpus.hpp"
 #include "rootstore/snapshot/writer.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
@@ -93,10 +95,10 @@ struct SnapPki {
         domains.push_back(domain);
       }
     }
-    store.distrust(std::string(64, 'a'), "incident 2021");
-    store.distrust(std::string(64, '3'), "");
+    store.distrust(*digest_from_hex(std::string(64, 'a')), "incident 2021");
+    store.distrust(*digest_from_hex(std::string(64, '3')), "");
     // Two GCCs on root 0 (order observable), one on root 1.
-    const std::string h0 = roots[0]->fingerprint_hex();
+    const Sha256::Digest h0 = roots[0]->fingerprint();
     store.attach_gcc(
         core::Gcc::create("accept-all", h0, kAcceptGcc, "baseline").take());
     store.attach_gcc(
@@ -159,10 +161,12 @@ TEST(SnapshotFormat, MmapViewServesSameAnswersAsHeapStore) {
 
   // state_of over all three states.
   for (const CertPtr& root : pki.roots) {
-    EXPECT_EQ(view.state_of(root->fingerprint_hex()), TrustState::kTrusted);
+    EXPECT_EQ(view.state_of(root->fingerprint()), TrustState::kTrusted);
   }
-  EXPECT_EQ(view.state_of(std::string(64, 'a')), TrustState::kDistrusted);
-  EXPECT_EQ(view.state_of(std::string(64, 'f')), TrustState::kUnknown);
+  EXPECT_EQ(view.state_of(*digest_from_hex(std::string(64, 'a'))),
+            TrustState::kDistrusted);
+  EXPECT_EQ(view.state_of(*digest_from_hex(std::string(64, 'f'))),
+            TrustState::kUnknown);
 
   // trusted() in the same (insertion) order, with identical DER and
   // metadata; find() agrees with the heap entry.
@@ -173,15 +177,15 @@ TEST(SnapshotFormat, MmapViewServesSameAnswersAsHeapStore) {
     EXPECT_EQ(view_trusted[i]->cert->der(), heap_trusted[i]->cert->der());
     EXPECT_EQ(view_trusted[i]->metadata, heap_trusted[i]->metadata);
     const RootEntry* found =
-        view.find(heap_trusted[i]->cert->fingerprint_hex());
+        view.find(heap_trusted[i]->cert->fingerprint());
     ASSERT_NE(found, nullptr);
     EXPECT_EQ(found->cert->der(), heap_trusted[i]->cert->der());
   }
 
   // gccs_for_root in attachment order, with identical name/source.
   for (const CertPtr& root : pki.roots) {
-    auto heap_gccs = pki.store.gccs_for_root(root->fingerprint_hex());
-    auto view_gccs = view.gccs_for_root(root->fingerprint_hex());
+    auto heap_gccs = pki.store.gccs_for_root(root->fingerprint());
+    auto view_gccs = view.gccs_for_root(root->fingerprint());
     ASSERT_EQ(view_gccs.size(), heap_gccs.size());
     for (std::size_t i = 0; i < heap_gccs.size(); ++i) {
       EXPECT_EQ(view_gccs[i].name(), heap_gccs[i].name());
@@ -191,6 +195,81 @@ TEST(SnapshotFormat, MmapViewServesSameAnswersAsHeapStore) {
     }
   }
   std::remove(path.c_str());
+}
+
+// Binary identity, heap vs view, over the census primaries (mozilla-,
+// chrome- and apple-like: GCCs, compiled Chrome Root Store constraints,
+// distrust entries) and their snapshots: every digest-keyed lookup and the
+// subject index answer identically for every root, every intermediate and
+// a digest neither store has seen.
+TEST(SnapshotFormat, DigestLookupsMatchHeapOverCensusStores) {
+  corpus::CorpusConfig config;
+  config.num_roots = 16;
+  config.num_intermediates = 40;
+  config.roots_with_path_len = 3;
+  config.intermediates_with_path_len = 30;
+  config.intermediates_with_name_constraints = 4;
+  config.roots_with_constrained_chain = 3;
+  config.leaves_per_intermediate_mean = 1.0;
+  const corpus::Corpus corpus = corpus::Corpus::generate(config);
+  const corpus::PrimaryStores primaries = corpus::make_primary_stores(corpus);
+
+  std::vector<CertPtr> certs;
+  for (const corpus::CaProfile& ca : corpus.roots()) certs.push_back(ca.cert);
+  for (const corpus::CaProfile& ca : corpus.intermediates()) {
+    certs.push_back(ca.cert);
+  }
+  Sha256::Digest unseen{};
+  unseen.fill(0x5a);
+  std::vector<Sha256::Digest> digests{unseen};
+  for (const CertPtr& cert : certs) digests.push_back(cert->fingerprint());
+
+  const auto same_entry = [](const RootEntry* heap, const RootEntry* view) {
+    if (heap == nullptr || view == nullptr) return heap == view;
+    return heap->cert->der() == view->cert->der() &&
+           heap->metadata == view->metadata;
+  };
+  std::size_t gccs_seen = 0;
+  for (const RootStore& heap : primaries.stores) {
+    auto opened = StoreView::from_bytes(write_snapshot(heap));
+    ASSERT_TRUE(opened.ok()) << opened.error.to_string();
+    const StoreView& view = *opened.view;
+    gccs_seen += heap.gcc_count();
+
+    std::size_t trusted = 0, distrusted = 0;
+    for (const Sha256::Digest& digest : digests) {
+      const std::string hex = to_hex(BytesView(digest));
+      EXPECT_EQ(view.state_of(digest), heap.state_of(digest)) << hex;
+      trusted += heap.state_of(digest) == TrustState::kTrusted;
+      distrusted += heap.state_of(digest) == TrustState::kDistrusted;
+      EXPECT_TRUE(same_entry(heap.find(digest), view.find(digest))) << hex;
+      const auto heap_gccs = heap.gccs_for_root(digest);
+      const auto view_gccs = view.gccs_for_root(digest);
+      ASSERT_EQ(view_gccs.size(), heap_gccs.size()) << hex;
+      for (std::size_t i = 0; i < heap_gccs.size(); ++i) {
+        EXPECT_EQ(view_gccs[i], heap_gccs[i]) << hex;
+      }
+    }
+    EXPECT_EQ(heap.state_of(unseen), TrustState::kUnknown);
+    EXPECT_GT(trusted, 0u);
+    EXPECT_GT(distrusted, 0u);
+
+    for (const CertPtr& cert : certs) {
+      for (const DistinguishedName* name :
+           {&cert->subject(), &cert->issuer()}) {
+        const auto heap_anchors = heap.trusted_by_subject(*name);
+        const auto view_anchors = view.trusted_by_subject(*name);
+        ASSERT_EQ(view_anchors.size(), heap_anchors.size())
+            << name->to_string();
+        for (std::size_t i = 0; i < heap_anchors.size(); ++i) {
+          EXPECT_EQ(heap_anchors[i]->cert->subject(), *name);
+          EXPECT_TRUE(same_entry(heap_anchors[i], view_anchors[i]))
+              << name->to_string();
+        }
+      }
+    }
+  }
+  EXPECT_GT(gccs_seen, 0u);
 }
 
 // The headline guarantee: verdicts computed through a StoreView are
@@ -245,7 +324,7 @@ TEST(SnapshotFormat, DifferentialVerdictsViewVsHeap) {
 
 TEST(SnapshotFormat, CompiledProgramSerializationRoundTrips) {
   SnapPki pki;
-  for (const std::string& root : pki.store.gccs().roots_sorted()) {
+  for (const Sha256::Digest& root : pki.store.gccs().roots_sorted()) {
     for (const core::Gcc& gcc : pki.store.gccs().for_root(root)) {
       Bytes wire;
       gcc.compiled()->serialize(wire);
@@ -394,7 +473,7 @@ TEST(SnapshotService, MutateAfterAdoptAppliesToViewContent) {
 
   // Distrust root 0 through mutate(): the mutation must apply on top of
   // the adopted view's content, not whatever the live store last held.
-  const std::string h0 = pki.roots[0]->fingerprint_hex();
+  const Sha256::Digest h0 = pki.roots[0]->fingerprint();
   service.mutate([&](RootStore& live) {
     EXPECT_EQ(live.state_of(h0), TrustState::kTrusted);  // view content
     EXPECT_EQ(live.gcc_count(), 3u);
@@ -437,10 +516,10 @@ TEST(SnapshotService, EpochSwapNeverUnmapsUnderInFlightVerifies) {
   for (int round = 0; round < 12; ++round) {
     // Each round writes a slightly different store, so adopted views are
     // genuinely distinct mappings.
-    source.distrust(std::string(62, 'b') +
-                        (round < 10 ? "0" : "1") +
-                        std::to_string(round % 10),
-                    "round " + std::to_string(round));
+    Sha256::Digest hash{};
+    hash.fill(0xbb);
+    hash.back() = static_cast<std::uint8_t>(round);
+    source.distrust(hash, "round " + std::to_string(round));
     ASSERT_TRUE(write_snapshot_file(source, path).ok());
     auto opened = StoreView::open(path);
     ASSERT_TRUE(opened.ok()) << opened.error.to_string();
@@ -449,7 +528,8 @@ TEST(SnapshotService, EpochSwapNeverUnmapsUnderInFlightVerifies) {
     // verification) must be what keeps the mapping alive.
     if (round % 3 == 2) {
       service.mutate([&](RootStore& live) {
-        live.distrust(std::string(64, 'c'), "mutate between adoptions");
+        live.distrust(*digest_from_hex(std::string(64, 'c')),
+                      "mutate between adoptions");
       });
     }
   }

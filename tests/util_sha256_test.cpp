@@ -61,6 +61,41 @@ TEST(Sha256, ManySmallUpdates) {
   EXPECT_EQ(h.finish(), Sha256::hash(data));
 }
 
+TEST(DigestFromHex, RoundTripsCanonicalHex) {
+  const Sha256::Digest digest = Sha256::hash(to_bytes("abc"));
+  const auto parsed = digest_from_hex(to_hex(BytesView(digest)));
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(*parsed, digest);
+}
+
+TEST(DigestFromHex, RejectsWrongLength) {
+  const std::string hex = to_hex(BytesView(Sha256::hash(to_bytes("abc"))));
+  EXPECT_FALSE(digest_from_hex("").has_value());
+  EXPECT_FALSE(digest_from_hex(hex.substr(0, 62)).has_value());
+  EXPECT_FALSE(digest_from_hex(hex + "00").has_value());
+  EXPECT_FALSE(digest_from_hex(hex + hex).has_value());
+}
+
+TEST(DigestFromHex, RejectsOddLength) {
+  const std::string hex = to_hex(BytesView(Sha256::hash(to_bytes("abc"))));
+  EXPECT_FALSE(digest_from_hex(hex.substr(0, 63)).has_value());
+  EXPECT_FALSE(digest_from_hex(hex + "0").has_value());
+}
+
+TEST(DigestFromHex, RejectsNonHex) {
+  const std::string hex = to_hex(BytesView(Sha256::hash(to_bytes("abc"))));
+  // Every position, with a character just outside each accepted range;
+  // uppercase is rejected too, since it is not the canonical form.
+  for (std::size_t i = 0; i < hex.size(); ++i) {
+    for (char bad : {'g', 'G', 'A', 'F', '/', ':', '`', ' ', '\0', 'x'}) {
+      std::string mutated = hex;
+      mutated[i] = bad;
+      EXPECT_FALSE(digest_from_hex(mutated).has_value())
+          << "position " << i << " char " << static_cast<int>(bad);
+    }
+  }
+}
+
 TEST(Sha256, DistinctInputsDistinctDigests) {
   Rng rng(99);
   Bytes a = rng.random_bytes(32);

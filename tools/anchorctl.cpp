@@ -408,7 +408,7 @@ int cmd_store_dump(int argc, char** argv) {
               store.value().gccs().constrained_roots());
   for (const rootstore::RootEntry* entry : store.value().trusted()) {
     const auto& gccs =
-        store.value().gccs().for_root(entry->cert->fingerprint_hex());
+        store.value().gccs().for_root(entry->cert->fingerprint());
     std::printf("  + %-40s %s%s%s\n",
                 entry->cert->subject().common_name().c_str(),
                 entry->metadata.ev_allowed ? "[EV] " : "",
@@ -416,7 +416,7 @@ int cmd_store_dump(int argc, char** argv) {
                 gccs.empty() ? "" : "[GCC]");
   }
   for (const auto& [hash, justification] : store.value().distrusted()) {
-    std::printf("  - %s  (%s)\n", hash.substr(0, 16).c_str(),
+    std::printf("  - %s  (%s)\n", to_hex(BytesView(hash)).substr(0, 16).c_str(),
                 justification.c_str());
   }
   return 0;
@@ -1477,7 +1477,7 @@ int cmd_compile_store(int argc, char** argv) {
               static_cast<long long>(file.version_major.value_or(0)));
 
   // Optional certificate material, matched to anchors by fingerprint.
-  std::unordered_map<std::string, x509::CertPtr> by_hash;
+  std::unordered_map<Sha256::Digest, x509::CertPtr, DigestHash> by_hash;
   std::string roots_path = flag_value(argc, argv, "--roots", "");
   if (!roots_path.empty()) {
     auto roots = read_chain(roots_path);
@@ -1486,15 +1486,15 @@ int cmd_compile_store(int argc, char** argv) {
       return 1;
     }
     for (const x509::CertPtr& cert : roots.value()) {
-      by_hash.emplace(cert->fingerprint_hex(), cert);
+      by_hash.emplace(cert->fingerprint(), cert);
     }
   }
 
   rootstore::CompileOptions compile_options;
   compile_options.name_prefix = flag_value(argc, argv, "--prefix", "crs");
   rootstore::RootStore store;
-  auto resolver = [&by_hash](const std::string& sha256_hex) -> x509::CertPtr {
-    auto it = by_hash.find(sha256_hex);
+  auto resolver = [&by_hash](const Sha256::Digest& sha256) -> x509::CertPtr {
+    auto it = by_hash.find(sha256);
     return it == by_hash.end() ? nullptr : it->second;
   };
   auto compiled =
@@ -1514,10 +1514,10 @@ int cmd_compile_store(int argc, char** argv) {
                 rootstore::to_string(static_cast<rootstore::ConstraintKind>(k)),
                 result.stats.kind_counts[k]);
   }
-  for (const std::string& root : store.gccs().roots_sorted()) {
+  for (const Sha256::Digest& root : store.gccs().roots_sorted()) {
     for (const core::Gcc& gcc : store.gccs().for_root(root)) {
       std::printf("  gcc %-44s -> root %s\n", gcc.name().c_str(),
-                  root.substr(0, 16).c_str());
+                  gcc.root_hash_hex().substr(0, 16).c_str());
     }
   }
 
