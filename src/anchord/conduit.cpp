@@ -27,8 +27,8 @@ namespace {
 // writer bumps it after every append (and on close) under the same lock
 // that guards the buffer, so a reader that drains the eventfd before
 // checking the buffer can never miss a wakeup. -1 when eventfd creation
-// failed at pair construction (the endpoint then reports no readiness fd
-// and servers fall back to blocking reads).
+// failed at pair construction (the endpoint then reports no readiness fd,
+// and anchord refuses to serve it).
 struct PipeDir {
   std::mutex mu;
   std::condition_variable cv;
@@ -192,8 +192,8 @@ class FdEndpoint final : public Conduit {
 ConduitPair make_memory_conduit() {
   auto a_to_b = std::make_shared<PipeDir>();
   auto b_to_a = std::make_shared<PipeDir>();
-  // Best-effort readiness fds: on eventfd exhaustion the pair still works,
-  // it just reports no readiness_fd and servers use their blocking path.
+  // Best-effort readiness fds: on eventfd exhaustion the pair still carries
+  // bytes, but it reports no readiness_fd and anchord refuses to serve it.
   a_to_b->event_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   b_to_a->event_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   return {std::make_unique<MemoryEndpoint>(b_to_a, a_to_b),

@@ -43,8 +43,7 @@ class Conduit {
   // until 0 is returned. The fd is level-triggered in spirit: it reads
   // ready whenever bytes *may* be available or the stream has closed
   // (spurious wakeups are allowed; lost wakeups are not). Endpoints that
-  // cannot supply one return -1 and the server falls back to its blocking
-  // per-session loop.
+  // cannot supply one return -1, and anchord refuses to serve them.
   virtual int readiness_fd() const { return -1; }
 
   // Non-blocking write: accepts up to data.size() bytes and returns the

@@ -25,26 +25,4 @@ Result<rsf::FeedFetch> WireFeedTransport::feed_fetch(
   return std::move(response.value().feed);
 }
 
-Result<std::uint64_t> WireFeedTransport::head_sequence() {
-  rsf::FeedFetchQuery probe;
-  probe.max_snapshots = 0;  // tree head only
-  auto fetched = feed_fetch(probe);
-  if (!fetched) return err(fetched.error());
-  return fetched.value().sth.tree_size;
-}
-
-Result<std::vector<rsf::Snapshot>> WireFeedTransport::fetch_since(
-    std::uint64_t /*after_sequence*/) {
-  return err(
-      "feed-fetch transport serves only the authenticated Merkle path; "
-      "use PollPath::kAuto");
-}
-
-Result<std::string> WireFeedTransport::fetch_delta(
-    std::uint64_t /*sequence*/) {
-  return err(
-      "feed-fetch transport carries deltas inline; "
-      "use PollPath::kAuto");
-}
-
 }  // namespace anchor::anchord

@@ -3,12 +3,10 @@
 // instance can fan the authenticated feed out to downstream pollers
 // (DESIGN.md "Authenticated feed distribution").
 //
-// Only the Merkle poll path is served. head_sequence() is answered with a
-// tree-head-only probe (max_snapshots = 0), which is what keeps a
-// no-change poll O(1) bytes on the wire; fetch_since/fetch_delta — the
-// legacy unauthenticated path — deliberately err so a misconfigured
-// RsfClient pinned to PollPath::kLegacy fails loudly instead of silently
-// trusting unproven snapshots from a remote daemon.
+// Every poll is one feed-fetch verb round trip carrying the signed tree
+// head, proofs and snapshot range (deltas inline when asked), so a
+// no-change poll costs O(1) bytes on the wire and nothing the daemon in
+// the middle says is trusted before the poller verifies it.
 #pragma once
 
 #include <string>
@@ -30,14 +28,8 @@ class WireFeedTransport : public rsf::FeedTransport {
   const std::string& name() const override { return publisher_; }
   const Bytes& key_id() const override { return key_id_; }
 
-  bool supports_feed_fetch() const override { return true; }
   Result<rsf::FeedFetch> feed_fetch(
       const rsf::FeedFetchQuery& query) override;
-  Result<std::uint64_t> head_sequence() override;
-
-  Result<std::vector<rsf::Snapshot>> fetch_since(
-      std::uint64_t after_sequence) override;
-  Result<std::string> fetch_delta(std::uint64_t sequence) override;
 
  private:
   AnchordClient& client_;

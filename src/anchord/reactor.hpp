@@ -47,8 +47,8 @@ class Reactor {
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  // False when epoll/eventfd setup failed at construction; callers should
-  // then serve sessions on their blocking path instead.
+  // False when epoll/eventfd setup failed at construction; AnchordServer
+  // then closes every conduit it is asked to serve.
   bool ok() const { return epoll_fd_ >= 0 && wake_fd_ >= 0; }
 
   // Registers `fd` for read readiness on behalf of `handler`. One fd maps

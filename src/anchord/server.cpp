@@ -10,8 +10,7 @@ namespace anchor::anchord {
 // pool, and the serve() caller all hold references, so the session outlives
 // whichever of them finishes last. One mutex guards the write queue and the
 // lifecycle counters; the read buffer needs no lock because exactly one
-// thread ever reads a given conduit (the reactor loop, or the blocking
-// serve() thread — never both).
+// thread ever reads a given conduit: the reactor loop.
 struct AnchordServer::Session : Reactor::Handler,
                                 std::enable_shared_from_this<Session> {
   AnchordServer* server = nullptr;
@@ -59,7 +58,7 @@ struct AnchordServer::Session : Reactor::Handler,
         break;
       }
       if (n == 0) {
-        if (write_fd >= 0 && server->reactor_.ok()) {
+        if (write_fd >= 0) {
           if (!write_armed) {
             write_armed = true;
             server->reactor_.arm_write(write_fd, shared_from_this());
@@ -191,36 +190,15 @@ void AnchordServer::serve(Conduit& conduit) {
 
   const int rfd = conduit.readiness_fd();
   if (!reactor_.ok() || rfd < 0 || !reactor_.add(rfd, session)) {
-    serve_blocking(conduit, session);
-  } else {
-    session->wait_finished();
-    reactor_.forget(rfd, session);
-    if (session->write_fd != rfd) reactor_.forget(session->write_fd, session);
+    // Sessions are readiness-driven only; a conduit the reactor cannot
+    // watch is refused, and the peer sees end-of-stream.
+    conduit.close();
+    return;
   }
-  if (session->torn_down) conduit.close();
-}
-
-void AnchordServer::serve_blocking(Conduit& conduit,
-                                   const std::shared_ptr<Session>& session) {
-  bool teardown = false;
-  for (;;) {
-    const int n = conduit.read_some(session->buffer, config_.read_chunk,
-                                    config_.idle_poll_ms);
-    if (n < 0) break;      // peer closed and drained
-    if (n == 0) continue;  // idle tick
-    m_bytes_read_.add(static_cast<std::uint64_t>(n));
-    if (!drain_session(*session)) {
-      teardown = true;
-      break;
-    }
-    if (session->buffer.size() > config_.max_buffer_bytes) {
-      send_alert(*session, "anchord: session buffer limit exceeded");
-      teardown = true;
-      break;
-    }
-  }
-  session->read_finished(teardown);
   session->wait_finished();
+  reactor_.forget(rfd, session);
+  if (session->write_fd != rfd) reactor_.forget(session->write_fd, session);
+  if (session->torn_down) conduit.close();
 }
 
 bool AnchordServer::drain_session(Session& session) {

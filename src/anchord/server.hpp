@@ -9,8 +9,8 @@
 //     completions enqueue their response and flush with non-blocking
 //     writes, and a flow-controlled peer parks the frame on the session's
 //     write queue until the reactor reports writability — no thread ever
-//     blocks inside a session. Conduits without a readiness fd are served
-//     on the legacy blocking per-session loop with identical semantics.
+//     blocks inside a session. A conduit without a readiness fd (or any
+//     conduit, if the reactor failed to set up) is closed unserved.
 //   * Pipelining — a session decodes frames as bytes arrive and admits
 //     every complete request immediately; responses are written as their
 //     handlers finish, in any order, matched by correlation id.
@@ -37,11 +37,11 @@
 //
 // Threading: serve() blocks for the life of one connection and is safe to
 // call concurrently from many threads (one per connection, as the tests
-// and bench do); under the reactor it is a registration + wait, not a
-// loop. Handler execution is shared: all sessions submit to one worker
-// pool. serve() returns only after every response it admitted has been
-// written (or the stream died), so the caller may destroy the Conduit as
-// soon as serve() returns.
+// and bench do); it is a reactor registration plus a wait, not a loop.
+// Handler execution is shared: all sessions submit to one worker pool.
+// serve() returns only after every response it admitted has been written
+// (or the stream died), so the caller may destroy the Conduit as soon as
+// serve() returns.
 #pragma once
 
 #include <atomic>
@@ -66,7 +66,6 @@ struct AnchordConfig {
   int request_timeout_ms = 0;          // 0 = no deadline
   std::size_t read_chunk = 4096;       // per-read_some byte cap
   std::size_t max_buffer_bytes = 1 << 22;  // unframed-bytes cap per session
-  int idle_poll_ms = 50;               // blocking-path read_some granularity
   // Test seam: runs at the start of every handler, before the deadline
   // check. Lets the robustness tests hold requests in flight (overload)
   // or past their deadline (timeout) deterministically.
@@ -82,9 +81,10 @@ class AnchordServer {
   AnchordServer& operator=(const AnchordServer&) = delete;
 
   // Serves one connection until the peer closes (or the session is torn
-  // down); returns after all admitted responses are written. The Conduit
-  // must outlive the call. Destroy the server only after every serve()
-  // call has returned.
+  // down); returns after all admitted responses are written. A conduit
+  // with no readiness fd is closed and serve() returns at once. The
+  // Conduit must outlive the call. Destroy the server only after every
+  // serve() call has returned.
   void serve(Conduit& conduit);
 
   // Instantaneous admission level (load signal for tests and anchorctl).
@@ -94,11 +94,6 @@ class AnchordServer {
 
  private:
   struct Session;
-
-  // Legacy per-session pump for conduits with no readiness fd (or when
-  // reactor setup failed): blocks in read_some, shares every other code
-  // path with the reactor.
-  void serve_blocking(Conduit& conduit, const std::shared_ptr<Session>& session);
 
   // Decodes and handles every complete frame buffered on `session`,
   // zero-copy, with one batched erase of the consumed prefix. Returns

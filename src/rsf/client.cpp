@@ -224,7 +224,6 @@ std::size_t RsfClient::finish_poll(PollOutcome outcome, std::int64_t now,
 std::size_t RsfClient::fail_poll(TransportErrorKind kind,
                                  std::uint64_t sequence, std::int64_t now) {
   ++stats_.transport_errors[static_cast<std::size_t>(kind)];
-  if (kind == TransportErrorKind::kRollback) rollback_suspect_ = true;
   if (sequence != 0) note_verify_failure(sequence, now);
   return finish_poll(PollOutcome::kFailure, now, 0);
 }
@@ -270,63 +269,7 @@ std::size_t RsfClient::poll_now(std::int64_t now) {
   ++stats_.polls;
   if (first_poll_ < 0) first_poll_ = now;
   prune_quarantine(now);
-  if (poll_path_ == PollPath::kAuto && transport_->supports_feed_fetch()) {
-    return poll_merkle(now);
-  }
-  return poll_legacy(now);
-}
 
-std::size_t RsfClient::poll_legacy(std::int64_t now) {
-  auto head = transport_->head_sequence();
-  if (!head) {
-    return fail_poll(TransportErrorKind::kUnreachable, 0, now);
-  }
-  if (head.value() < last_sequence_) {
-    // The feed claims a head below what we already verified: a rollback
-    // (or a stale mirror). Never adopt; keep serving the last good store.
-    return fail_poll(TransportErrorKind::kRollback, 0, now);
-  }
-  if (head.value() == last_sequence_) {
-    if (rollback_suspect_ && last_sequence_ > 0) {
-      // The transport attempted a rollback earlier; a bare sequence match
-      // is exactly what a continued replay of our own head looks like, so
-      // it must not reset backoff or refresh last-contact. Only a strictly
-      // newer verified run clears the suspicion on this path.
-      return fail_poll(TransportErrorKind::kRollback, 0, now);
-    }
-    return finish_poll(PollOutcome::kSuccess, now, 0);  // nothing new
-  }
-  if (is_quarantined(head.value(), now)) {
-    ++stats_.quarantine_skips;
-    return finish_poll(PollOutcome::kSkip, now, 0);
-  }
-
-  auto fetched = transport_->fetch_since(last_sequence_);
-  if (!fetched) {
-    return fail_poll(TransportErrorKind::kUnreachable, 0, now);
-  }
-  std::vector<Snapshot> run = std::move(fetched).take();
-  if (run.empty()) {
-    // The head probe promised more than the fetch delivered.
-    return fail_poll(TransportErrorKind::kTruncatedRun, 0, now);
-  }
-  if (run.back().sequence <= last_sequence_) {
-    return fail_poll(TransportErrorKind::kRollback, run.back().sequence, now);
-  }
-
-  Feed::RunFault fault = Feed::RunFault::kNone;
-  if (Status s = Feed::verify_run(run, last_hash_, BytesView(transport_->key_id()),
-                                  verifier_registry_, &fault);
-      !s) {
-    ++stats_.verify_failures;
-    // Fail closed: keep the last good store. Repeated failures of the same
-    // head sequence land it in quarantine.
-    return fail_poll(classify(fault), run.back().sequence, now);
-  }
-  return adopt_verified_run(run, nullptr, now);
-}
-
-std::size_t RsfClient::poll_merkle(std::int64_t now) {
   FeedFetchQuery query;
   query.from_size = last_sequence_;
   query.want_deltas = (mode_ == Transport::kDelta);
@@ -338,8 +281,8 @@ std::size_t RsfClient::poll_merkle(std::int64_t now) {
   const SignedTreeHead& sth = ff.sth;
 
   // Authentication overhead of this poll: tree head, proofs, snapshot
-  // headers. Body bytes (payloads or deltas) are accounted where they are
-  // consumed, matching the legacy path's convention.
+  // headers. Body bytes are accounted in adopt_verified_run, which knows
+  // whether the poll consumed payloads or deltas.
   std::uint64_t overhead =
       sth.wire_size() +
       (ff.consistency.size() + ff.inclusion.size()) * sizeof(ctlog::Hash);
@@ -366,7 +309,6 @@ std::size_t RsfClient::poll_merkle(std::int64_t now) {
   if (sth.tree_size == last_sequence_) {
     // Root-verified no-change: the signed head IS the history we adopted,
     // so this contact is healthy even right after a rollback attempt.
-    rollback_suspect_ = false;
     ++stats_.verified_no_change;
     return finish_poll(PollOutcome::kSuccess, now, 0);
   }
@@ -421,8 +363,7 @@ std::size_t RsfClient::poll_merkle(std::int64_t now) {
     return fail_poll(TransportErrorKind::kBadProof, sth.tree_size, now);
   }
 
-  const std::size_t applied = adopt_verified_run(
-      run, query.want_deltas ? &ff.deltas : nullptr, now);
+  const std::size_t applied = adopt_verified_run(run, ff.deltas, now);
   if (last_sequence_ == sth.tree_size) {
     // Adoption succeeded: pin the verified head for the next poll's
     // consistency check.
@@ -433,7 +374,7 @@ std::size_t RsfClient::poll_merkle(std::int64_t now) {
 
 std::size_t RsfClient::adopt_verified_run(
     const std::vector<Snapshot>& run,
-    const std::vector<std::string>* inline_deltas, std::int64_t now) {
+    const std::vector<std::string>& deltas, std::int64_t now) {
   const Snapshot& head_snap = run.back();
   bool replica_current = false;
 
@@ -448,24 +389,13 @@ std::size_t RsfClient::adopt_verified_run(
     bool replay_ok = true;
     TransportErrorKind replay_fault = TransportErrorKind::kCorruptDelta;
     for (std::size_t i = 0; i < run.size(); ++i) {
-      std::string delta_text;
-      if (inline_deltas != nullptr) {
-        if (i >= inline_deltas->size()) {
-          // The response shipped fewer deltas than snapshots.
-          replay_ok = false;
-          replay_fault = TransportErrorKind::kTruncatedRun;
-          break;
-        }
-        delta_text = (*inline_deltas)[i];
-      } else {
-        auto fetched_delta = transport_->fetch_delta(run[i].sequence);
-        if (!fetched_delta) {
-          replay_ok = false;
-          replay_fault = TransportErrorKind::kUnreachable;
-          break;
-        }
-        delta_text = std::move(fetched_delta).take();
+      if (i >= deltas.size()) {
+        // The response shipped fewer deltas than snapshots.
+        replay_ok = false;
+        replay_fault = TransportErrorKind::kTruncatedRun;
+        break;
       }
+      const std::string& delta_text = deltas[i];
       delta_bytes += delta_text.size();
       auto delta = StoreDelta::deserialize(delta_text);
       if (!delta) {
@@ -530,7 +460,6 @@ std::size_t RsfClient::adopt_verified_run(
   last_hash_ = head_snap.payload_hash;
   last_update_time_ = now;
   stats_.updates_applied += applied;
-  rollback_suspect_ = false;  // a strictly newer run verified end to end
   fail_counts_.clear();
   // A verified successor supersedes any quarantined ancestor: once the
   // client is past a poisoned sequence it will never fetch it again, so

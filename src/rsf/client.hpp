@@ -52,7 +52,7 @@ struct ClientStats {
   std::uint64_t merge_conflicts = 0;
   std::uint64_t deltas_applied = 0;   // only deltas in the adopted replica
   std::uint64_t delta_fallbacks = 0;  // delta replay mismatched; used snapshot
-  std::uint64_t bytes_fetched = 0;    // payload or delta bytes, per transport
+  std::uint64_t bytes_fetched = 0;    // tree heads, proofs, headers, bodies
   std::uint64_t bytes_discarded = 0;  // fetched but thrown away (failed runs)
   std::uint64_t retries = 0;          // backoff-scheduled re-polls
   std::uint64_t quarantine_skips = 0; // polls skipped on a quarantined head
@@ -77,14 +77,6 @@ struct ClientStats {
 // and then *verifies the replica against the snapshot's payload hash*,
 // falling back to the full snapshot on any mismatch.
 enum class Transport { kFullSnapshot, kDelta };
-
-// Which poll protocol the client speaks. kAuto uses the Merkle-authenticated
-// feed-fetch path whenever the transport supports it (one RPC per poll:
-// signed tree head + consistency proof + snapshot range, proof-verified
-// before anything is adopted) and falls back to the legacy head-probe +
-// fetch-since path otherwise. kLegacy forces the old path even on capable
-// transports (tests, and deployments mid-migration).
-enum class PollPath { kAuto, kLegacy };
 
 // Retry / quarantine / staleness knobs. All times in seconds (SimClock
 // domain — the client is driven entirely by the `now` its caller passes).
@@ -147,9 +139,6 @@ class RsfClient {
   // primary snapshot.
   void set_local_store(rootstore::RootStore local);
 
-  // See PollPath. Takes effect on the next poll.
-  void set_poll_path(PollPath path) { poll_path_ = path; }
-
   // Invoked with the freshly adopted store at the end of every successful
   // update poll (after the epoch guard). At most one hook; empty clears.
   void set_adoption_hook(AdoptionHook hook) {
@@ -171,13 +160,14 @@ class RsfClient {
   std::size_t run_until(std::int64_t now);
 
   // Single poll at time `now` regardless of schedule (for tests). Also
-  // re-anchors the poll schedule at `now`.
+  // re-anchors the poll schedule at `now`. One feed-fetch exchange: signed
+  // tree head + consistency proof + snapshot range (plus inline deltas in
+  // kDelta mode), all verified before anything is adopted.
   std::size_t poll_now(std::int64_t now);
 
   const rootstore::RootStore& store() const { return store_; }
   std::uint64_t last_applied_sequence() const { return last_sequence_; }
-  // The Merkle root pinned at the last adoption (meaningful only on the
-  // feed-fetch poll path).
+  // The Merkle root pinned at the last adoption.
   const ctlog::Hash& pinned_tree_root() const { return pinned_root_; }
   std::int64_t last_update_time() const { return last_update_time_; }
   std::int64_t next_poll_time() const { return next_poll_; }
@@ -190,14 +180,11 @@ class RsfClient {
 
   std::size_t finish_poll(PollOutcome outcome, std::int64_t now,
                           std::size_t applied);
-  std::size_t poll_legacy(std::int64_t now);
-  std::size_t poll_merkle(std::int64_t now);
-  // Replays/adopts an already signature- and chain-verified run. When
-  // `inline_deltas` is non-null (the feed-fetch path ships deltas in the
-  // same response) deltas are taken from it by index; otherwise they are
-  // fetched through the transport per snapshot.
+  // Replays/adopts an already signature-, chain- and proof-verified run.
+  // In kDelta mode `deltas` are the response's inline deltas, aligned with
+  // `run` by index; kFullSnapshot ignores them.
   std::size_t adopt_verified_run(const std::vector<Snapshot>& run,
-                                 const std::vector<std::string>* inline_deltas,
+                                 const std::vector<std::string>& deltas,
                                  std::int64_t now);
   void publish_metrics(PollOutcome outcome);
   std::size_t fail_poll(TransportErrorKind kind, std::uint64_t sequence,
@@ -216,13 +203,7 @@ class RsfClient {
   std::int64_t next_poll_ = 0;
   std::uint64_t last_sequence_ = 0;
   std::string last_hash_;
-  ctlog::Hash pinned_root_{};        // tree root at last_sequence_ (merkle path)
-  PollPath poll_path_ = PollPath::kAuto;
-  // Set when the transport attempts a rollback; an equal-sequence head is
-  // then treated as a continued replay (never a healthy poll) until a
-  // strictly newer run — or, on the merkle path, a root-matching tree
-  // head — verifies.
-  bool rollback_suspect_ = false;
+  ctlog::Hash pinned_root_{};        // tree root at last_sequence_
   std::int64_t last_update_time_ = -1;
   std::int64_t last_contact_ = -1;   // last verified feed contact
   std::int64_t first_poll_ = -1;     // staleness baseline before any contact

@@ -215,11 +215,6 @@ Result<std::string> Feed::fetch_delta_locked(std::uint64_t sequence) const {
   return StoreDelta::diff(previous, current.value()).serialize();
 }
 
-Result<std::string> Feed::fetch_delta(std::uint64_t sequence) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fetch_delta_locked(sequence);
-}
-
 Status Feed::restore(std::vector<Snapshot> run) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!snapshots_.empty()) return err("rsf: restore into a non-empty feed");

@@ -136,22 +136,14 @@ class Feed {
   // the poller classifies staleness/rollback itself.
   Result<FeedFetch> feed_fetch(const FeedFetchQuery& query) const;
 
-  // Snapshots with sequence > `after` (what a legacy polling client
-  // fetches).
+  // Snapshots with sequence > `after` (for restore round-trips, mirrors
+  // and tests; pollers use feed_fetch).
   std::vector<Snapshot> fetch_since(std::uint64_t after) const;
 
   // Direct access for single-threaded callers (manual mirrors, tests);
   // the pointer is invalidated by publish(), so do not mix with
   // concurrent publication.
   const Snapshot* at(std::uint64_t sequence) const;
-
-  // Delta transport: the serialized StoreDelta turning snapshot
-  // `sequence-1` into snapshot `sequence` (for sequence 1, a delta from the
-  // empty store). Clients apply deltas to their local replica and verify
-  // the result against the snapshot's signed payload hash — integrity
-  // derives from the snapshot signature, so deltas need no signature of
-  // their own. Computed on demand; empty Result on bad sequence.
-  Result<std::string> fetch_delta(std::uint64_t sequence) const;
 
   // Rebuilds the feed from an externally stored run (e.g. an anchorctl
   // feed directory): verifies the full chain against this feed's key, then
@@ -188,6 +180,13 @@ class Feed {
 
  private:
   SignedTreeHead make_sth_locked(std::uint64_t tree_size) const;
+  // Delta transport: the serialized StoreDelta turning snapshot
+  // `sequence-1` into snapshot `sequence` (for sequence 1, a delta from the
+  // empty store), shipped inline by feed_fetch when the query asks for
+  // deltas. Clients apply deltas to their local replica and verify the
+  // result against the snapshot's signed payload hash — integrity derives
+  // from the snapshot signature, so deltas need no signature of their own.
+  // Computed on demand; empty Result on bad sequence.
   Result<std::string> fetch_delta_locked(std::uint64_t sequence) const;
 
   std::string name_;

@@ -1,7 +1,5 @@
 #include "rsf/transport.hpp"
 
-#include <algorithm>
-
 namespace anchor::rsf {
 
 const char* to_string(TransportErrorKind kind) {
@@ -58,57 +56,6 @@ std::uint64_t FaultyTransport::injected_total() const {
   std::uint64_t total = 0;
   for (std::uint64_t n : injected_) total += n;
   return total;
-}
-
-Result<std::vector<Snapshot>> FaultyTransport::fetch_since(
-    std::uint64_t after) {
-  if (rng_.chance(profile_.unreachable)) {
-    count(TransportErrorKind::kUnreachable);
-    return err("transport: feed unreachable");
-  }
-  auto fetched = inner_.fetch_since(after);
-  if (!fetched) return fetched;
-  std::vector<Snapshot> run = std::move(fetched).take();
-
-  if (after > 0 && rng_.chance(profile_.rollback)) {
-    // Stale-head replay: re-serve the feed as it looked at some head at or
-    // below the client's current sequence, the way a lagging cache would.
-    auto old = inner_.fetch_since(0);
-    if (old) {
-      const std::uint64_t stale_head = 1 + rng_.uniform(after);  // [1, after]
-      run = std::move(old).take();
-      run.erase(std::remove_if(run.begin(), run.end(),
-                               [&](const Snapshot& snap) {
-                                 return snap.sequence > stale_head;
-                               }),
-                run.end());
-      count(TransportErrorKind::kRollback);
-    }
-  } else if (!run.empty() && rng_.chance(profile_.truncate_run)) {
-    // Drop the tail: a still-valid (but stale) prefix, possibly empty.
-    run.resize(rng_.uniform(run.size()));
-    count(TransportErrorKind::kTruncatedRun);
-  }
-
-  if (!run.empty() && rng_.chance(profile_.corrupt_payload)) {
-    Snapshot& victim = run[rng_.uniform(run.size())];
-    if (victim.payload.empty()) {
-      victim.payload = "?";
-    } else {
-      victim.payload[rng_.uniform(victim.payload.size())] ^= 0x01;
-    }
-    count(TransportErrorKind::kCorruptPayload);
-  }
-  if (!run.empty() && rng_.chance(profile_.flip_signature)) {
-    Snapshot& victim = run[rng_.uniform(run.size())];
-    if (victim.signature.empty()) {
-      victim.signature.push_back(0x01);
-    } else {
-      victim.signature[rng_.uniform(victim.signature.size())] ^= 0x01;
-    }
-    count(TransportErrorKind::kBadSignature);
-  }
-  return run;
 }
 
 Result<FeedFetch> FaultyTransport::feed_fetch(const FeedFetchQuery& query) {
@@ -176,25 +123,6 @@ Result<FeedFetch> FaultyTransport::feed_fetch(const FeedFetchQuery& query) {
     count(TransportErrorKind::kBadProof);
   }
   return out;
-}
-
-Result<std::string> FaultyTransport::fetch_delta(std::uint64_t sequence) {
-  if (rng_.chance(profile_.unreachable)) {
-    count(TransportErrorKind::kUnreachable);
-    return err("transport: feed unreachable");
-  }
-  auto fetched = inner_.fetch_delta(sequence);
-  if (!fetched) return fetched;
-  std::string text = std::move(fetched).take();
-  if (rng_.chance(profile_.corrupt_delta)) {
-    if (text.empty()) {
-      text = "?";
-    } else {
-      text[rng_.uniform(text.size())] ^= 0x01;
-    }
-    count(TransportErrorKind::kCorruptDelta);
-  }
-  return text;
 }
 
 }  // namespace anchor::rsf

@@ -4,20 +4,22 @@
 // over the network, where the feed can be unreachable, truncated by a lazy
 // mirror, corrupted in flight, or rolled back by a stale cache. `Feed`
 // itself is an in-memory append-only log that can never fail, so the
-// client/feed seam is widened into `FeedTransport`: `DirectTransport` is
-// the perfect in-process wire, and `FaultyTransport` is a decorator that
-// injects deterministic, seeded faults (driven by `util/rng`) between any
-// transport and the client. The client's verification/quarantine/backoff
-// machinery (client.hpp) is exercised against the faulty decorator; the
-// feed's signatures and hash chain guarantee that no injected fault can
-// ever make an unverified snapshot adoptable — faults only cost liveness,
-// never safety (pinned by tests/rsf_fault_test.cpp).
+// client/feed seam is widened into `FeedTransport`, which carries exactly
+// one exchange: the Merkle-authenticated feed-fetch (signed tree head,
+// consistency and inclusion proofs, snapshot range, optional inline
+// deltas). `DirectTransport` is the perfect in-process wire, and
+// `FaultyTransport` is a decorator that injects deterministic, seeded
+// faults (driven by `util/rng`) into that exchange between any transport
+// and the client. The client's verification/quarantine/backoff machinery
+// (client.hpp) is exercised against the faulty decorator; the feed's
+// signatures, hash chain and tree-head proofs guarantee that no injected
+// fault can ever make an unverified snapshot adoptable — faults only cost
+// liveness, never safety (pinned by tests/rsf_fault_test.cpp).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "rsf/feed.hpp"
 #include "util/rng.hpp"
@@ -39,8 +41,8 @@ inline constexpr std::size_t kTransportErrorKindCount = 7;
 
 const char* to_string(TransportErrorKind kind);
 
-// How the client moves snapshots over the wire. Implementations must be
-// safe to call repeatedly; they never mutate the underlying feed.
+// How the client reaches the feed. Implementations must be safe to call
+// repeatedly; they never mutate the underlying feed.
 class FeedTransport {
  public:
   virtual ~FeedTransport() = default;
@@ -48,24 +50,10 @@ class FeedTransport {
   virtual const std::string& name() const = 0;
   virtual const Bytes& key_id() const = 0;
 
-  // Cheap head probe (an HTTP HEAD in deployment): the newest published
-  // sequence, so an up-to-date client can skip the payload fetch entirely.
-  virtual Result<std::uint64_t> head_sequence() = 0;
-
-  // Snapshots with sequence > `after`.
-  virtual Result<std::vector<Snapshot>> fetch_since(std::uint64_t after) = 0;
-
-  // Serialized StoreDelta for `sequence` (see Feed::fetch_delta).
-  virtual Result<std::string> fetch_delta(std::uint64_t sequence) = 0;
-
-  // Merkle-authenticated poll path (Feed::feed_fetch). Transports that
-  // support it let the client verify consistency proofs before adopting
-  // anything; legacy transports keep the sequence-number poll path.
-  virtual bool supports_feed_fetch() const { return false; }
-  virtual Result<FeedFetch> feed_fetch(const FeedFetchQuery& query) {
-    (void)query;
-    return err("transport: feed-fetch not supported");
-  }
+  // One poll: the feed's answer to `query` (Feed::feed_fetch). The client
+  // verifies the tree head, proofs and run before adopting anything; a
+  // query with max_snapshots = 0 is a tree-head-only probe.
+  virtual Result<FeedFetch> feed_fetch(const FeedFetchQuery& query) = 0;
 };
 
 // The perfect wire: pass-through to an in-process Feed. Never fails.
@@ -75,16 +63,6 @@ class DirectTransport : public FeedTransport {
 
   const std::string& name() const override { return feed_.name(); }
   const Bytes& key_id() const override { return feed_.key_id(); }
-  Result<std::uint64_t> head_sequence() override {
-    return feed_.head_sequence();
-  }
-  Result<std::vector<Snapshot>> fetch_since(std::uint64_t after) override {
-    return feed_.fetch_since(after);
-  }
-  Result<std::string> fetch_delta(std::uint64_t sequence) override {
-    return feed_.fetch_delta(sequence);
-  }
-  bool supports_feed_fetch() const override { return true; }
   Result<FeedFetch> feed_fetch(const FeedFetchQuery& query) override {
     return feed_.feed_fetch(query);
   }
@@ -95,7 +73,7 @@ class DirectTransport : public FeedTransport {
 
 // Per-call injection probabilities, each an independent Bernoulli trial.
 struct FaultProfile {
-  double unreachable = 0;      // fetch_since/fetch_delta fail outright
+  double unreachable = 0;      // the feed-fetch fails outright
   double truncate_run = 0;     // drop the tail of a fetched run
   double corrupt_payload = 0;  // flip a byte in one snapshot payload
   double corrupt_delta = 0;    // flip a byte in a fetched delta
@@ -114,13 +92,11 @@ struct FaultProfile {
   static FaultProfile chaos(double p);       // every kind at p
 };
 
-// Decorator injecting deterministic, seeded faults into another transport.
-// Faults target the payload-bearing fetches; the head probe passes through
-// untouched (it is metadata-cheap, and keeping it reliable lets tests
-// separate "cannot see the head" from "cannot fetch the run"). Mutations
-// are applied to copies — the wrapped transport and its feed are never
-// altered. Per-kind injection counters let tests and benches correlate
-// what went in with what the client observed.
+// Decorator injecting deterministic, seeded faults into another transport's
+// feed-fetch answers. Mutations are applied to copies — the wrapped
+// transport and its feed are never altered. Per-kind injection counters
+// let tests and benches correlate what went in with what the client
+// observed.
 class FaultyTransport : public FeedTransport {
  public:
   FaultyTransport(FeedTransport& inner, FaultProfile profile,
@@ -128,14 +104,6 @@ class FaultyTransport : public FeedTransport {
 
   const std::string& name() const override { return inner_.name(); }
   const Bytes& key_id() const override { return inner_.key_id(); }
-  Result<std::uint64_t> head_sequence() override {
-    return inner_.head_sequence();
-  }
-  Result<std::vector<Snapshot>> fetch_since(std::uint64_t after) override;
-  Result<std::string> fetch_delta(std::uint64_t sequence) override;
-  bool supports_feed_fetch() const override {
-    return inner_.supports_feed_fetch();
-  }
   Result<FeedFetch> feed_fetch(const FeedFetchQuery& query) override;
 
   // Live reconfiguration: a sweep (or a "faults clear" test phase) swaps

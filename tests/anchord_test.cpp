@@ -952,6 +952,45 @@ TEST(AnchordServer, RoundTripOverSocketpair) {
   serve.join();
 }
 
+// Forwards to another endpoint but hides its readiness fd, so the reactor
+// has nothing to watch.
+class NoReadinessConduit : public Conduit {
+ public:
+  explicit NoReadinessConduit(Conduit& inner) : inner_(inner) {}
+
+  bool write(BytesView data) override { return inner_.write(data); }
+  int read_some(Bytes& out, std::size_t max, int timeout_ms) override {
+    return inner_.read_some(out, max, timeout_ms);
+  }
+  void close() override { inner_.close(); }
+  int readiness_fd() const override { return -1; }
+
+ private:
+  Conduit& inner_;
+};
+
+// Sessions are readiness-driven only: a conduit without a readiness fd is
+// closed unserved, serve() returns at once, and the client sees
+// end-of-stream instead of a hang.
+TEST(AnchordServer, ConduitWithoutReadinessFdIsClosedUnserved) {
+  Harness h;
+  ConduitPair pair = make_memory_conduit();
+  NoReadinessConduit hidden(*pair.second);
+  std::thread serve([&] { h.server->serve(hidden); });
+  {
+    AnchordClient client(*pair.first);
+    CertPtr leaf = h.pki.leaf("noready.example.com");
+    auto response =
+        client.call(h.pki.verify_request(leaf, "noready.example.com"));
+    EXPECT_FALSE(response.ok());
+    Bytes rest;
+    EXPECT_EQ(pair.first->read_some(rest, 64, 1000), -1);
+  }
+  pair.first->close();
+  serve.join();
+  EXPECT_EQ(h.server->in_flight(), 0u);
+}
+
 // A frame trickled one byte per write over a real socket: every byte can
 // land as its own readiness wakeup and the reactor must reassemble the
 // frame across them.

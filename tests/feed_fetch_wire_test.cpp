@@ -86,7 +86,6 @@ TEST(FeedFetchWire, RsfClientAdoptsOverTheWire) {
 
   AnchordClient client(h.client_end());
   WireFeedTransport wire(client, "nss");
-  EXPECT_TRUE(wire.supports_feed_fetch());
 
   rsf::RsfClient poller(wire, 3600);
   EXPECT_EQ(poller.poll_now(kNow + 20), 2u);
@@ -119,29 +118,29 @@ TEST(FeedFetchWire, DeltaTransportShipsInlineDeltasOverTheWire) {
   EXPECT_EQ(poller.poll_now(kNow + 30), 3u);
   EXPECT_EQ(poller.last_applied_sequence(), 3u);
   EXPECT_EQ(poller.store().trusted_count(), 5u);
-  // The deltas rode inside the feed-fetch response; none were fetched
-  // through the (unsupported) per-sequence legacy call.
+  // The deltas rode inside the feed-fetch response.
   EXPECT_EQ(poller.stats().deltas_applied, 3u);
   EXPECT_EQ(poller.stats().delta_fallbacks, 0u);
 }
 
-TEST(FeedFetchWire, HeadProbeAndLegacyCallsOnTheWireTransport) {
+TEST(FeedFetchWire, HeadProbeOnTheWireTransport) {
   FeedHarness h;
   h.feed.publish(store_with(2), kNow, "r1");
 
   AnchordClient client(h.client_end());
   WireFeedTransport wire(client, "nss");
-  auto head = wire.head_sequence();
+  rsf::FeedFetchQuery probe;
+  probe.max_snapshots = 0;  // tree head only
+  auto head = wire.feed_fetch(probe);
   ASSERT_TRUE(head.ok()) << head.error();
-  EXPECT_EQ(head.value(), 1u);
+  EXPECT_EQ(head.value().sth, h.feed.tree_head());
+  EXPECT_EQ(head.value().sth.tree_size, 1u);
+  EXPECT_TRUE(head.value().snapshots.empty());
+  EXPECT_TRUE(head.value().consistency.empty());
+  EXPECT_TRUE(head.value().inclusion.empty());
   // The key id is derived from the publisher name out of band — it must
   // match what the feed itself advertises.
   EXPECT_EQ(wire.key_id(), h.feed.key_id());
-
-  // The wire transport serves ONLY the authenticated path; the legacy
-  // calls err loudly instead of silently bypassing proof verification.
-  EXPECT_FALSE(wire.fetch_since(0).ok());
-  EXPECT_FALSE(wire.fetch_delta(1).ok());
 }
 
 TEST(FeedFetchWire, NoFeedAttachedIsUnavailableNotACrash) {

@@ -399,6 +399,27 @@ TEST(RsfClient, RunUntilIssuesOneCatchUpPollAfterOfflineGap) {
   EXPECT_EQ(client.stats().polls, 2u);
 }
 
+// Serves one of two feeds published under the same key, switchable
+// between polls.
+class SwitchableTransport : public FeedTransport {
+ public:
+  SwitchableTransport(const Feed& a, const Feed& b) : a_(a), b_(b) {}
+
+  void serve_second(bool second) { second_ = second; }
+
+  const std::string& name() const override { return current().name(); }
+  const Bytes& key_id() const override { return current().key_id(); }
+  Result<FeedFetch> feed_fetch(const FeedFetchQuery& query) override {
+    return current().feed_fetch(query);
+  }
+
+ private:
+  const Feed& current() const { return second_ ? b_ : a_; }
+  const Feed& a_;
+  const Feed& b_;
+  bool second_ = false;
+};
+
 // Regression: a payload that is correctly signed and hash-verified but does
 // not deserialize (a publisher-side bug, not transport tamper) used to be
 // counted as a verify_failure, poisoning the metric operators alarm on for
@@ -408,33 +429,38 @@ TEST(RsfClient, SignedButUnparsablePayloadIsAParseFailureNotAVerifyFailure) {
   SimSig registry;
   Feed feed("nss", registry);
   feed.publish(store_with({"A"}), 1, "r1");
-  RsfClient client(feed, 3600);
-  // The fixture edits a published snapshot in place, which the Merkle poll
-  // path rejects as a proof failure before the payload is ever parsed
-  // (published history cannot be rewritten). The parse-vs-verify
-  // classification under test lives on the shared adoption path; pin the
-  // legacy poll so the fixture can reach it.
-  client.set_poll_path(PollPath::kLegacy);
+  Feed buggy("nss", registry);
+  SwitchableTransport transport(feed, buggy);
+  RsfClient client(transport, 3600);
   EXPECT_EQ(client.poll_now(10), 1u);
 
-  // The publisher ships garbage, but signs it properly: recompute the
-  // payload hash and signature exactly as Feed::publish would.
+  // The publisher ships garbage at sequence 2, but signs it properly:
+  // recompute the payload hash and signature exactly as Feed::publish
+  // would. Restored into a second feed under the same key, that history
+  // has genuinely signed tree heads and proofs that extend the client's
+  // pin, so the only thing wrong with snapshot 2 is that it does not parse.
   feed.publish(store_with({"A", "B"}), 2, "r2");
-  Snapshot* snap = feed.mutable_at(2);
-  snap->payload = "not a serialized root store";
-  snap->payload_hash = Sha256::hash_hex(BytesView(to_bytes(snap->payload)));
-  snap->signature = SimSig::sign(SimSig::keygen("rsf-feed-nss"),
-                                 BytesView(snap->transcript()));
+  std::vector<Snapshot> run = feed.fetch_since(0);
+  Snapshot& garbage = run[1];
+  garbage.payload = "not a serialized root store";
+  garbage.payload_hash =
+      Sha256::hash_hex(BytesView(to_bytes(garbage.payload)));
+  garbage.signature = SimSig::sign(SimSig::keygen("rsf-feed-nss"),
+                                   BytesView(garbage.transcript()));
+  ASSERT_TRUE(buggy.restore(run).ok());
+  transport.serve_second(true);
 
   EXPECT_EQ(client.poll_now(20), 0u);
   EXPECT_EQ(client.stats().parse_failures, 1u);
   EXPECT_EQ(client.stats().verify_failures, 0u);
+  EXPECT_EQ(client.stats().proof_failures, 0u);
   // Fail-closed handling is identical to a verify failure: the last good
   // store is retained and the fetched bytes are accounted as discarded.
   EXPECT_EQ(client.store().trusted_count(), 1u);
   EXPECT_EQ(client.last_applied_sequence(), 1u);
-  EXPECT_EQ(client.stats().bytes_discarded, snap->payload.size());
+  EXPECT_EQ(client.stats().bytes_discarded, garbage.payload.size());
   // And the converse stays true: transport tamper is a verify failure.
+  transport.serve_second(false);
   feed.publish(store_with({"A", "B", "C"}), 3, "r3");
   feed.mutable_at(3)->payload += "garbage";
   EXPECT_EQ(client.poll_now(30), 0u);

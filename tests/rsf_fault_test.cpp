@@ -55,24 +55,33 @@ class ScriptedTransport : public FeedTransport {
 
   const std::string& name() const override { return direct_.name(); }
   const Bytes& key_id() const override { return direct_.key_id(); }
-  Result<std::uint64_t> head_sequence() override {
-    return direct_.head_sequence();
-  }
-  Result<std::vector<Snapshot>> fetch_since(std::uint64_t after) override {
-    if (unreachable) return err("scripted: unreachable");
-    return direct_.fetch_since(after);
-  }
-  Result<std::string> fetch_delta(std::uint64_t sequence) override {
-    if (sequence == corrupt_delta_at) return std::string("garbage delta");
-    return direct_.fetch_delta(sequence);
+  Result<FeedFetch> feed_fetch(const FeedFetchQuery& query) override {
+    auto fetched = direct_.feed_fetch(query);
+    if (!fetched) return fetched;
+    FeedFetch out = std::move(fetched).take();
+    for (std::size_t i = 0; i < out.deltas.size(); ++i) {
+      if (out.snapshots[i].sequence == corrupt_delta_at) {
+        out.deltas[i] = "garbage delta";
+      }
+    }
+    return out;
   }
 
-  bool unreachable = false;
   std::uint64_t corrupt_delta_at = 0;  // 0 = no corruption
 
  private:
   DirectTransport direct_;
 };
+
+// What RsfClient adds to bytes_fetched for a poll's tree head, proofs and
+// snapshot headers, on top of the payload or delta bodies it consumes.
+std::uint64_t auth_overhead(const FeedFetch& ff) {
+  std::uint64_t bytes =
+      ff.sth.wire_size() +
+      (ff.consistency.size() + ff.inclusion.size()) * sizeof(ctlog::Hash);
+  for (const Snapshot& snap : ff.snapshots) bytes += snap.wire_size(false);
+  return bytes;
+}
 
 TEST(FaultyTransport, ZeroProfileIsTransparent) {
   SimSig registry;
@@ -80,12 +89,15 @@ TEST(FaultyTransport, ZeroProfileIsTransparent) {
   feed.publish(store_with(3), 100, "r1");
   DirectTransport direct(feed);
   FaultyTransport faulty(direct, FaultProfile{}, /*seed=*/7);
-  auto run = faulty.fetch_since(0);
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(run.value().size(), 1u);
+  FeedFetchQuery query;
+  query.want_deltas = true;
+  auto fetched = faulty.feed_fetch(query);
+  ASSERT_TRUE(fetched.ok());
+  EXPECT_EQ(fetched.value(), direct.feed_fetch(query).value());
+  EXPECT_EQ(fetched.value().snapshots.size(), 1u);
   EXPECT_EQ(faulty.injected_total(), 0u);
-  Status s = Feed::verify_run(run.value(), "", BytesView(faulty.key_id()),
-                              registry);
+  Status s = Feed::verify_run(fetched.value().snapshots, "",
+                              BytesView(faulty.key_id()), registry);
   EXPECT_TRUE(s.ok());
 }
 
@@ -98,18 +110,31 @@ TEST(FaultyTransport, InjectionIsDeterministicUnderSeed) {
   auto observe = [&](std::uint64_t seed) {
     DirectTransport direct(feed);
     FaultyTransport faulty(direct, FaultProfile::chaos(0.5), seed);
+    FeedFetchQuery query;
+    query.from_size = 2;
+    query.want_deltas = true;
     std::vector<std::string> hashes;
     for (int i = 0; i < 16; ++i) {
-      auto run = faulty.fetch_since(2);
-      if (!run) {
+      auto fetched = faulty.feed_fetch(query);
+      if (!fetched) {
         hashes.push_back("<unreachable>");
         continue;
       }
-      std::string digest;
-      for (const Snapshot& snap : run.value()) {
+      const FeedFetch& ff = fetched.value();
+      std::string digest = std::to_string(ff.sth.tree_size) + "@";
+      for (const Snapshot& snap : ff.snapshots) {
         digest += std::to_string(snap.sequence) + ":" +
                   Sha256::hash_hex(BytesView(to_bytes(snap.payload))) + ";";
         digest += to_hex(BytesView(snap.signature)).substr(0, 8) + "|";
+      }
+      for (const std::string& delta : ff.deltas) {
+        digest += Sha256::hash_hex(BytesView(to_bytes(delta))) + "|";
+      }
+      for (const ctlog::Hash& node : ff.consistency) {
+        digest += to_hex(BytesView(node.data(), node.size())) + "|";
+      }
+      for (const ctlog::Hash& node : ff.inclusion) {
+        digest += to_hex(BytesView(node.data(), node.size())) + "|";
       }
       hashes.push_back(digest);
     }
@@ -126,19 +151,23 @@ TEST(FaultyTransport, CorruptionIsDetectedByVerifyRun) {
   feed.publish(store_with(4), 200, "r2");
   DirectTransport direct(feed);
   FaultyTransport faulty(direct, FaultProfile::corruption(1.0), /*seed=*/3);
-  auto run = faulty.fetch_since(0);
-  ASSERT_TRUE(run.ok());
+  FeedFetchQuery query;
+  query.want_deltas = true;
+  auto fetched = faulty.feed_fetch(query);
+  ASSERT_TRUE(fetched.ok());
   Feed::RunFault fault = Feed::RunFault::kNone;
-  Status s = Feed::verify_run(run.value(), "", BytesView(faulty.key_id()),
-                              registry, &fault);
+  Status s = Feed::verify_run(fetched.value().snapshots, "",
+                              BytesView(faulty.key_id()), registry, &fault);
   EXPECT_FALSE(s.ok());
   EXPECT_NE(fault, Feed::RunFault::kNone);
+  EXPECT_EQ(faulty.injected(TransportErrorKind::kCorruptDelta), 1u);
   // The underlying feed is untouched: a clean fetch still verifies.
-  auto clean = direct.fetch_since(0);
+  auto clean = direct.feed_fetch(query);
   ASSERT_TRUE(clean.ok());
-  EXPECT_TRUE(Feed::verify_run(clean.value(), "", BytesView(direct.key_id()),
-                               registry)
+  EXPECT_TRUE(Feed::verify_run(clean.value().snapshots, "",
+                               BytesView(direct.key_id()), registry)
                   .ok());
+  EXPECT_NE(clean.value().deltas, fetched.value().deltas);
 }
 
 // --- client behaviour under faults -----------------------------------------
@@ -430,6 +459,10 @@ TEST(RsfFault, AbandonedDeltaReplayDoesNotInflateDeltasApplied) {
   (void)primary.add_trusted(make_root("Delta Reg Root B"));
   feed.publish(primary, 300, "r3");
   transport.corrupt_delta_at = 3;
+  FeedFetchQuery query;
+  query.from_size = 1;
+  query.want_deltas = true;
+  const std::uint64_t overhead = auth_overhead(feed.feed_fetch(query).value());
 
   EXPECT_EQ(client.poll_now(400), 2u);
   EXPECT_EQ(client.stats().delta_fallbacks, 1u);
@@ -438,10 +471,10 @@ TEST(RsfFault, AbandonedDeltaReplayDoesNotInflateDeltasApplied) {
   EXPECT_EQ(client.stats().deltas_applied, 1u);
   // The discarded delta bytes are accounted: fetched (they crossed the
   // wire) and discarded (they bought nothing); the fallback snapshot bytes
-  // are fetched only.
+  // and the poll's tree head, proofs and snapshot headers are fetched only.
   EXPECT_GT(client.stats().bytes_discarded, 0u);
   EXPECT_EQ(client.stats().bytes_fetched,
-            bytes_after_bootstrap + client.stats().bytes_discarded +
+            bytes_after_bootstrap + overhead + client.stats().bytes_discarded +
                 feed.at(3)->payload.size());
   // And the client still adopted the verified head via the snapshot.
   EXPECT_EQ(client.last_applied_sequence(), 3u);

@@ -3,13 +3,10 @@
 // verification before any adoption, rollback detection by pinned root
 // rather than sequence number, and the E17 fleet-simulation fixture.
 //
-// Two regression tests ride along:
-//   * LegacyEqualHeadReplayAfterRollback — an equal-sequence head served
-//     right after a rollback attempt must stay a failure (continued
-//     replay), never reset backoff or refresh last-contact;
-//   * FleetAdoptionIsDatedAtVerifyNotFetch — the simulator's adoption
-//     percentiles must move one-for-one with the client-side verify
-//     latency, which they cannot do if they are dated at fetch time.
+// A regression test rides along: FleetAdoptionIsDatedAtVerifyNotFetch —
+// the simulator's adoption percentiles must move one-for-one with the
+// client-side verify latency, which they cannot do if they are dated at
+// fetch time.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -60,16 +57,6 @@ class PaginatingTransport : public FeedTransport {
 
   const std::string& name() const override { return direct_.name(); }
   const Bytes& key_id() const override { return direct_.key_id(); }
-  Result<std::uint64_t> head_sequence() override {
-    return direct_.head_sequence();
-  }
-  Result<std::vector<Snapshot>> fetch_since(std::uint64_t after) override {
-    return direct_.fetch_since(after);
-  }
-  Result<std::string> fetch_delta(std::uint64_t sequence) override {
-    return direct_.fetch_delta(sequence);
-  }
-  bool supports_feed_fetch() const override { return true; }
   Result<FeedFetch> feed_fetch(const FeedFetchQuery& query) override {
     FeedFetchQuery clamped = query;
     clamped.max_snapshots = page_;
@@ -92,16 +79,6 @@ class SwitchableTransport : public FeedTransport {
 
   const std::string& name() const override { return current().name(); }
   const Bytes& key_id() const override { return current().key_id(); }
-  Result<std::uint64_t> head_sequence() override {
-    return current().head_sequence();
-  }
-  Result<std::vector<Snapshot>> fetch_since(std::uint64_t after) override {
-    return current().fetch_since(after);
-  }
-  Result<std::string> fetch_delta(std::uint64_t sequence) override {
-    return current().fetch_delta(sequence);
-  }
-  bool supports_feed_fetch() const override { return true; }
   Result<FeedFetch> feed_fetch(const FeedFetchQuery& query) override {
     return current().feed_fetch(query);
   }
@@ -111,39 +88,6 @@ class SwitchableTransport : public FeedTransport {
   const Feed& a_;
   const Feed& b_;
   bool second_ = false;
-};
-
-// Legacy-path transport whose advertised head can be pinned below (or at)
-// the true head — a lagging cache replaying stale state.
-class ForcedHeadTransport : public FeedTransport {
- public:
-  explicit ForcedHeadTransport(const Feed& feed) : direct_(feed) {}
-
-  const std::string& name() const override { return direct_.name(); }
-  const Bytes& key_id() const override { return direct_.key_id(); }
-  Result<std::uint64_t> head_sequence() override {
-    if (forced_head != 0) return forced_head;
-    return direct_.head_sequence();
-  }
-  Result<std::vector<Snapshot>> fetch_since(std::uint64_t after) override {
-    auto fetched = direct_.fetch_since(after);
-    if (!fetched || forced_head == 0) return fetched;
-    std::vector<Snapshot> run = std::move(fetched).take();
-    run.erase(std::remove_if(run.begin(), run.end(),
-                             [&](const Snapshot& snap) {
-                               return snap.sequence > forced_head;
-                             }),
-              run.end());
-    return run;
-  }
-  Result<std::string> fetch_delta(std::uint64_t sequence) override {
-    return direct_.fetch_delta(sequence);
-  }
-
-  std::uint64_t forced_head = 0;  // 0 = honest
-
- private:
-  DirectTransport direct_;
 };
 
 TEST(FeedTreeHead, SignsATreeHeadPerPublication) {
@@ -449,63 +393,6 @@ TEST(RsfClientMerkle, RootVerifiedNoChangeClearsRollbackSuspicion) {
   faulty.set_profile(FaultProfile{});
   EXPECT_EQ(client.poll_now(kNow + 7220), 0u);
   EXPECT_EQ(client.stats().verified_no_change, 1u);
-  EXPECT_EQ(client.health(), ClientHealth::kHealthy);
-}
-
-// Satellite regression: on the LEGACY path an equal-sequence head right
-// after a rollback attempt is exactly what a continued replay looks like.
-// Pre-fix, the client treated it as a healthy no-change poll — resetting
-// backoff and refreshing last-contact, so a replaying cache could hold a
-// client on its own head forever while looking healthy.
-TEST(RsfClientLegacy, EqualHeadReplayAfterRollbackStaysAFailure) {
-  SimSig registry;
-  Feed feed("nss", registry);
-  feed.publish(store_with(2), kNow - 200, "r1");
-  feed.publish(store_with(3), kNow - 100, "r2");
-
-  ForcedHeadTransport transport(feed);
-  RetryPolicy retry;
-  retry.jitter = 0;  // deterministic backoff arithmetic
-  RsfClient client(transport, 3600, MergePolicy::kPrimaryWins,
-                   Transport::kFullSnapshot, retry);
-  client.set_poll_path(PollPath::kLegacy);
-  ASSERT_EQ(client.poll_now(kNow), 2u);
-  ASSERT_EQ(client.last_applied_sequence(), 2u);
-
-  // Rollback attempt: the advertised head drops below the verified pin.
-  transport.forced_head = 1;
-  const std::int64_t t1 = kNow + 3600;
-  EXPECT_EQ(client.poll_now(t1), 0u);
-  EXPECT_EQ(client.stats().transport_error(TransportErrorKind::kRollback), 1u);
-  EXPECT_EQ(client.next_poll_time(), t1 + 60);  // first backoff step
-  EXPECT_EQ(client.health(), ClientHealth::kDegraded);
-
-  // The replay continues at the client's own head. This must NOT count as
-  // a healthy poll: backoff keeps growing (60 -> 120) and last-contact is
-  // not refreshed (staleness keeps accruing from the adoption).
-  transport.forced_head = 2;
-  const std::int64_t t2 = t1 + 60;
-  EXPECT_EQ(client.poll_now(t2), 0u);
-  EXPECT_EQ(client.stats().transport_error(TransportErrorKind::kRollback), 2u);
-  EXPECT_EQ(client.stats().retries, 2u);
-  EXPECT_EQ(client.next_poll_time(), t2 + 120);  // NOT reset to interval
-  EXPECT_EQ(client.health(), ClientHealth::kDegraded);
-  EXPECT_EQ(client.stats().seconds_stale, t2 - kNow);
-  EXPECT_EQ(client.stats().updates_applied, 2u);
-
-  // Only a strictly newer verified run clears the suspicion on this path.
-  transport.forced_head = 0;
-  feed.publish(store_with(4), t2, "r3");
-  const std::int64_t t3 = t2 + 120;
-  EXPECT_EQ(client.poll_now(t3), 1u);
-  EXPECT_EQ(client.last_applied_sequence(), 3u);
-  EXPECT_EQ(client.health(), ClientHealth::kHealthy);
-  EXPECT_EQ(client.next_poll_time(), t3 + 3600);  // backoff reset
-
-  // And a LEGITIMATE equal-head poll afterwards is a plain no-change.
-  const std::int64_t t4 = t3 + 3600;
-  EXPECT_EQ(client.poll_now(t4), 0u);
-  EXPECT_EQ(client.stats().transport_error(TransportErrorKind::kRollback), 2u);
   EXPECT_EQ(client.health(), ClientHealth::kHealthy);
 }
 

@@ -36,7 +36,9 @@
 //                                 [--usage TLS|S/MIME] [--repeat N]
 //                                 [--threads N] [--feed <dir> --now <iso8601>]
 //                                 drive verifications (and optionally one
-//                                 feed poll) through the shared registry —
+//                                 feed poll; a feed directory that fails
+//                                 verification exits 1) through the
+//                                 shared registry —
 //                                 half direct, half through an in-process
 //                                 anchord server so the daemon's own
 //                                 queue-depth/overload series populate —
@@ -119,7 +121,6 @@
 #include "rsf/client.hpp"
 #include "rsf/delta.hpp"
 #include "rsf/feed.hpp"
-#include "rsf/transport.hpp"
 #include "util/base64.hpp"
 #include "util/metrics.hpp"
 #include "util/strings.hpp"
@@ -1025,40 +1026,6 @@ int cmd_feed_fetch(int argc, char** argv) {
   return code;
 }
 
-// Adapts a file-based feed directory (already loaded into memory) to the
-// FeedTransport interface, so `anchorctl metrics` can run a *real*
-// RsfClient poll — populating the same anchor_rsf_* series a deployed
-// client would — instead of faking the counters.
-class FileFeedTransport : public rsf::FeedTransport {
- public:
-  FileFeedTransport(std::string name, std::vector<rsf::Snapshot> run)
-      : name_(std::move(name)),
-        key_id_(SimSig::keygen("rsf-feed-" + name_).key_id),
-        run_(std::move(run)) {}
-
-  const std::string& name() const override { return name_; }
-  const Bytes& key_id() const override { return key_id_; }
-  Result<std::uint64_t> head_sequence() override {
-    if (run_.empty()) return std::uint64_t{0};
-    return run_.back().sequence;
-  }
-  Result<std::vector<rsf::Snapshot>> fetch_since(std::uint64_t after) override {
-    std::vector<rsf::Snapshot> out;
-    for (const rsf::Snapshot& snap : run_) {
-      if (snap.sequence > after) out.push_back(snap);
-    }
-    return out;
-  }
-  Result<std::string> fetch_delta(std::uint64_t) override {
-    return err("file feed carries no deltas");  // full-snapshot mode only
-  }
-
- private:
-  std::string name_;
-  Bytes key_id_;
-  std::vector<rsf::Snapshot> run_;
-};
-
 void print_snapshot_info(const rootstore::snapshot::StoreView& view) {
   const rootstore::snapshot::StoreView::Info& info = view.info();
   std::printf("format version : %u\n", info.format_version);
@@ -1439,8 +1406,15 @@ int cmd_metrics(int argc, char** argv) {
                    (!name ? name.error() : run.error()).c_str());
       return 1;
     }
-    FileFeedTransport transport(name.value(), std::move(run).take());
-    rsf::RsfClient client(transport, /*poll_interval=*/3600);
+    // A real RsfClient poll over the restored feed populates the same
+    // anchor_rsf_* series a deployed client would.
+    SimSig sig_registry;
+    rsf::Feed feed(name.value(), sig_registry);
+    if (Status restored = feed.restore(std::move(run).take()); !restored.ok()) {
+      std::fprintf(stderr, "error: %s\n", restored.error().c_str());
+      return 1;
+    }
+    rsf::RsfClient client(feed, /*poll_interval=*/3600);
     client.poll_now(now);
   }
 
