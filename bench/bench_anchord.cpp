@@ -131,6 +131,7 @@ void report_registry_deltas(benchmark::State& state,
        sample("anchor_anchord_bytes_written_total")) /
       total_requests;
   state.counters["overloads"] = sample("anchor_anchord_overloads_total");
+  state.counters["inline"] = sample("anchor_anchord_inline_total");
   state.counters["served_verify"] =
       sample("anchor_anchord_requests_total{verb=\"verify\"}");
 }
@@ -163,16 +164,13 @@ void run_throughput(benchmark::State& state, bool socketpair,
     std::vector<std::thread> serve_threads;
     pairs.reserve(connections);
     for (std::size_t c = 0; c < connections; ++c) {
-      if (socketpair) {
-        auto pair = anchord::make_socketpair_conduit();
-        if (!pair.ok()) {
-          state.SkipWithError(pair.error().c_str());
-          return;
-        }
-        pairs.push_back(std::move(pair).take());
-      } else {
-        pairs.push_back(anchord::make_memory_conduit());
+      auto pair = socketpair ? anchord::make_socketpair_conduit()
+                             : anchord::make_memory_conduit();
+      if (!pair.ok()) {
+        state.SkipWithError(pair.error().c_str());
+        return;
       }
+      pairs.push_back(std::move(pair).take());
       serve_threads.emplace_back(
           [&server, &pairs, c] { server.serve(*pairs[c].second); });
     }
@@ -266,7 +264,12 @@ void BM_Anchord_Batch(benchmark::State& state) {
   backends.registry = &registry;
   anchord::AnchordServer server(backends, {}, registry);
 
-  auto pair = anchord::make_memory_conduit();
+  auto made = anchord::make_memory_conduit();
+  if (!made.ok()) {
+    state.SkipWithError(made.error().c_str());
+    return;
+  }
+  anchord::ConduitPair pair = std::move(made).take();
   std::thread serve_thread([&server, &pair] { server.serve(*pair.second); });
   anchord::AnchordClient client(*pair.first, /*timeout_ms=*/30000);
 

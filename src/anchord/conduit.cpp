@@ -26,9 +26,8 @@ namespace {
 // `event_fd` is the reader-side readiness signal for the epoll reactor: the
 // writer bumps it after every append (and on close) under the same lock
 // that guards the buffer, so a reader that drains the eventfd before
-// checking the buffer can never miss a wakeup. -1 when eventfd creation
-// failed at pair construction (the endpoint then reports no readiness fd,
-// and anchord refuses to serve it).
+// checking the buffer can never miss a wakeup. make_memory_conduit fails
+// rather than build a pair without one.
 struct PipeDir {
   std::mutex mu;
   std::condition_variable cv;
@@ -42,7 +41,6 @@ struct PipeDir {
 
   // Callers hold `mu`.
   void signal_locked() {
-    if (event_fd < 0) return;
     const std::uint64_t one = 1;
     // EFD_NONBLOCK write can only fail at counter saturation (2^64-2),
     // unreachable while readers drain; ignore the result either way.
@@ -52,7 +50,6 @@ struct PipeDir {
   // Callers hold `mu`. Zeroes the counter so level-triggered epoll stops
   // reporting readiness once the buffer is drained.
   void clear_signal_locked() {
-    if (event_fd < 0) return;
     std::uint64_t count = 0;
     [[maybe_unused]] ssize_t n = ::read(event_fd, &count, sizeof count);
   }
@@ -142,19 +139,29 @@ class FdEndpoint final : public Conduit {
     return true;
   }
 
+  // An event-driven caller (timeout_ms == 0) gets one non-blocking recv
+  // and no poll: the reactor already knows the fd is readable, and an empty
+  // socket answers EAGAIN. Bytes land directly in the tail of `out`.
   int read_some(Bytes& out, std::size_t max, int timeout_ms) override {
-    struct pollfd pfd {};
-    pfd.fd = fd_;
-    pfd.events = POLLIN;
-    int rc = ::poll(&pfd, 1, timeout_ms);
-    if (rc == 0) return 0;                       // timeout
-    if (rc < 0) return errno == EINTR ? 0 : -1;  // treat EINTR as a tick
-    Bytes chunk(max);
-    const ssize_t n = ::recv(fd_, chunk.data(), max, 0);
-    if (n <= 0) return -1;  // EOF or error: end-of-stream either way
-    out.insert(out.end(), chunk.begin(),
-               chunk.begin() + static_cast<std::ptrdiff_t>(n));
-    return static_cast<int>(n);
+    int flags = MSG_DONTWAIT;
+    if (timeout_ms != 0) {
+      struct pollfd pfd {};
+      pfd.fd = fd_;
+      pfd.events = POLLIN;
+      const int rc = ::poll(&pfd, 1, timeout_ms);
+      if (rc == 0) return 0;                       // timeout
+      if (rc < 0) return errno == EINTR ? 0 : -1;  // treat EINTR as a tick
+      flags = 0;
+    }
+    const std::size_t old_size = out.size();
+    out.resize(old_size + max);
+    const ssize_t n = ::recv(fd_, out.data() + old_size, max, flags);
+    out.resize(old_size + static_cast<std::size_t>(std::max<ssize_t>(n, 0)));
+    if (n > 0) return static_cast<int>(n);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+      return 0;  // nothing buffered yet
+    }
+    return -1;  // EOF or error: end-of-stream either way
   }
 
   void close() override {
@@ -189,15 +196,19 @@ class FdEndpoint final : public Conduit {
 
 }  // namespace
 
-ConduitPair make_memory_conduit() {
+Result<ConduitPair> make_memory_conduit() {
   auto a_to_b = std::make_shared<PipeDir>();
   auto b_to_a = std::make_shared<PipeDir>();
-  // Best-effort readiness fds: on eventfd exhaustion the pair still carries
-  // bytes, but it reports no readiness_fd and anchord refuses to serve it.
-  a_to_b->event_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  b_to_a->event_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  return {std::make_unique<MemoryEndpoint>(b_to_a, a_to_b),
-          std::make_unique<MemoryEndpoint>(a_to_b, b_to_a)};
+  // A pair without readiness fds would carry bytes but anchord would refuse
+  // to serve it; fail here, where the cause is still known.
+  for (PipeDir* dir : {a_to_b.get(), b_to_a.get()}) {
+    dir->event_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (dir->event_fd < 0) {
+      return err(std::string("anchord: eventfd: ") + std::strerror(errno));
+    }
+  }
+  return ConduitPair{std::make_unique<MemoryEndpoint>(b_to_a, a_to_b),
+                     std::make_unique<MemoryEndpoint>(a_to_b, b_to_a)};
 }
 
 Result<ConduitPair> make_socketpair_conduit() {

@@ -62,8 +62,10 @@ class Conduit {
 
 using ConduitPair = std::pair<std::unique_ptr<Conduit>, std::unique_ptr<Conduit>>;
 
-// A connected pair of in-memory endpoints (mutex + condvar byte queues).
-ConduitPair make_memory_conduit();
+// A connected pair of in-memory endpoints (mutex + condvar byte queues),
+// each with an eventfd as its readiness fd. err() if eventfd creation
+// fails.
+Result<ConduitPair> make_memory_conduit();
 
 // A connected pair over an AF_UNIX socketpair(2): real file descriptors,
 // poll(2)-based read timeouts. err() if the kernel refuses the pair.

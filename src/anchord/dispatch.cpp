@@ -90,9 +90,30 @@ Response VerbDispatcher::do_verify(const Request& request) {
                 "verify: unknown usage '" + request.usage + "'");
   }
 
-  chain::VerifyResult result = backends_.service->validate(
-      request.leaf_der, request.intermediates_der, options);
+  return verify_response(request,
+                         backends_.service->validate(
+                             request.leaf_der, request.intermediates_der,
+                             options));
+}
 
+std::optional<Response> VerbDispatcher::dispatch_if_cached(
+    const Request& request) {
+  // Anything do_verify would reject goes through dispatch() for its
+  // classified answer; only the verify proper is worth a cache probe.
+  chain::VerifyOptions options = options_from(request);
+  if (request.verb != Verb::kVerify || request.leaf_der.empty() ||
+      !parse_usage(request, options)) {
+    return std::nullopt;
+  }
+  std::optional<chain::VerifyResult> result =
+      backends_.service->validate_if_cached(request.leaf_der,
+                                            request.intermediates_der, options);
+  if (!result) return std::nullopt;
+  return verify_response(request, *result);
+}
+
+Response VerbDispatcher::verify_response(
+    const Request& request, const chain::VerifyResult& result) const {
   Response response = base_response(request);
   response.ok = result.ok;
   response.kind = result.kind;

@@ -6,6 +6,7 @@
 // testable property instead of an aspiration.
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "anchord/wire.hpp"
@@ -41,8 +42,17 @@ class VerbDispatcher {
   Response dispatch(const Request& request,
                     metrics::Registry* registry_override = nullptr);
 
+  // The dispatch() response for a well-formed kVerify request whose
+  // certificates are all in the service's parsed-certificate cache, without
+  // parsing anything (VerifyService::validate_if_cached); nullopt for any
+  // other request, which the caller must dispatch() instead. Same bytes,
+  // same service accounting, as dispatch() would produce.
+  std::optional<Response> dispatch_if_cached(const Request& request);
+
  private:
   Response do_verify(const Request& request);
+  Response verify_response(const Request& request,
+                           const chain::VerifyResult& result) const;
   Response do_verify_batch(const Request& request);
   Response do_evaluate_gccs(const Request& request);
   Response do_metrics(const Request& request, metrics::Registry& registry);

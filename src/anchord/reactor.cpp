@@ -4,6 +4,7 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 
@@ -114,6 +115,11 @@ void Reactor::loop() {
       std::lock_guard<std::mutex> lock(mu_);
       if (stop_) return;
     }
+    ready_in_batch_ = static_cast<std::size_t>(
+        std::count_if(events.begin(), events.begin() + n,
+                      [this](const epoll_event& ev) {
+                        return ev.data.fd != wake_fd_;
+                      }));
     for (int i = 0; i < n; ++i) {
       const int fd = events[static_cast<std::size_t>(i)].data.fd;
       const std::uint32_t what = events[static_cast<std::size_t>(i)].events;

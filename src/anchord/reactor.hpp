@@ -70,6 +70,11 @@ class Reactor {
   // Instantaneous registered-session count (observability).
   std::size_t sessions() const;
 
+  // Loop thread only (i.e. from inside a callback): how many session fds
+  // the epoll batch being dispatched reported ready. 1 means no other
+  // session is waiting behind the running callback.
+  std::size_t ready_in_batch() const { return ready_in_batch_; }
+
  private:
   struct Entry {
     std::shared_ptr<Handler> handler;
@@ -90,6 +95,7 @@ class Reactor {
   std::unordered_map<int, Entry> entries_;
   std::uint64_t arm_seq_ = 0;  // guarded by mu_; feeds Entry::write_gen
   bool stop_ = false;
+  std::size_t ready_in_batch_ = 0;  // loop thread only
   std::thread thread_;
 };
 

@@ -3,8 +3,18 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <optional>
 
 namespace anchor::anchord {
+
+namespace {
+
+bool starts_complete_frame(BytesView bytes) {
+  auto view = net::decode_frame_view(bytes);
+  return view && view.value().complete;
+}
+
+}  // namespace
 
 // Per-connection state, shared_ptr-owned: the reactor loop, the worker
 // pool, and the serve() caller all hold references, so the session outlives
@@ -83,7 +93,9 @@ struct AnchordServer::Session : Reactor::Handler,
         write_offset = 0;
       }
     }
-    cv.notify_all();  // queue may have just drained: finish() may hold now
+    // The queue may have just drained; wait_finished() cannot hold before
+    // read_done, and read_finished() notifies when it sets that.
+    if (read_done) cv.notify_all();
   }
 
   // --- Reactor::Handler ----------------------------------------------------
@@ -133,11 +145,12 @@ struct AnchordServer::Session : Reactor::Handler,
 
   // Notify under the lock: serve() may destroy its references the moment
   // the finish predicate holds, so the notify must complete before this
-  // thread releases `mu`.
+  // thread releases `mu`. Before read_done nothing can finish, so the
+  // waiter is left asleep.
   void done() {
     std::lock_guard<std::mutex> lock(mu);
     --outstanding;
-    cv.notify_all();
+    if (read_done) cv.notify_all();
   }
 
   // True once the session owes the peer nothing more: reading is over,
@@ -158,7 +171,10 @@ AnchordServer::AnchordServer(VerbDispatcher::Backends backends,
     : dispatcher_(backends),
       config_(std::move(config)),
       pool_(config_.workers),
-      m_connections_(registry.counter("anchor_anchord_connections_total")),
+      m_served_(registry.counter("anchor_anchord_connections_total",
+                                 {{"outcome", "served"}})),
+      m_refused_(registry.counter("anchor_anchord_connections_total",
+                                  {{"outcome", "refused"}})),
       m_req_verify_(registry.counter("anchor_anchord_requests_total",
                                      {{"verb", "verify"}})),
       m_req_gccs_(registry.counter("anchor_anchord_requests_total",
@@ -171,6 +187,7 @@ AnchordServer::AnchordServer(VerbDispatcher::Backends backends,
                                     {{"verb", "verify-batch"}})),
       m_req_feedfetch_(registry.counter("anchor_anchord_requests_total",
                                         {{"verb", "feed-fetch"}})),
+      m_inline_(registry.counter("anchor_anchord_inline_total")),
       m_overloads_(registry.counter("anchor_anchord_overloads_total")),
       m_timeouts_(registry.counter("anchor_anchord_timeouts_total")),
       m_malformed_(registry.counter("anchor_anchord_malformed_total")),
@@ -182,7 +199,6 @@ AnchordServer::AnchordServer(VerbDispatcher::Backends backends,
       m_serve_latency_(registry.histogram("anchor_anchord_serve_seconds")) {}
 
 void AnchordServer::serve(Conduit& conduit) {
-  m_connections_.add();
   auto session = std::make_shared<Session>();
   session->server = this;
   session->conduit = &conduit;
@@ -192,9 +208,11 @@ void AnchordServer::serve(Conduit& conduit) {
   if (!reactor_.ok() || rfd < 0 || !reactor_.add(rfd, session)) {
     // Sessions are readiness-driven only; a conduit the reactor cannot
     // watch is refused, and the peer sees end-of-stream.
+    m_refused_.add();
     conduit.close();
     return;
   }
+  m_served_.add();
   session->wait_finished();
   reactor_.forget(rfd, session);
   if (session->write_fd != rfd) reactor_.forget(session->write_fd, session);
@@ -205,6 +223,7 @@ bool AnchordServer::drain_session(Session& session) {
   Bytes& buffer = session.buffer;
   std::size_t pos = 0;
   bool alive = true;
+  bool first = true;
   for (;;) {
     if (session.skip_remaining > 0) {
       // Discard mode: eat the remainder of a frame we alerted on.
@@ -236,11 +255,17 @@ bool AnchordServer::drain_session(Session& session) {
       continue;
     }
     if (!view.value().complete) break;
+    const std::size_t end = pos + view.value().consumed;
+    // The inline rule (see admit) needs to know whether another complete
+    // frame shares this drain; a header-only lookahead tells.
+    const bool sole = first && !starts_complete_frame(BytesView(
+                                   buffer.data() + end, buffer.size() - end));
+    first = false;
     // Zero-copy dispatch: the payload view borrows from `buffer`, which is
     // stable until the single erase below — on_frame copies only what the
     // request decoder keeps.
-    on_frame(session, view.value().type, view.value().payload);
-    pos += view.value().consumed;
+    on_frame(session, view.value().type, view.value().payload, sole);
+    pos = end;
   }
   if (pos > 0) {
     buffer.erase(buffer.begin(), buffer.begin() + static_cast<std::ptrdiff_t>(pos));
@@ -249,7 +274,7 @@ bool AnchordServer::drain_session(Session& session) {
 }
 
 void AnchordServer::on_frame(Session& session, net::MsgType type,
-                             BytesView payload) {
+                             BytesView payload, bool sole_frame) {
   if (type != net::MsgType::kRequest) {
     // A well-framed message that is not a request (a stray handshake
     // frame, a response echoed back): protocol violation, session lives.
@@ -264,15 +289,14 @@ void AnchordServer::on_frame(Session& session, net::MsgType type,
     response.correlation_id = peek_correlation_id(payload);
     response.kind = chain::ErrorKind::kMalformedRequest;
     response.detail = request.error();
-    Bytes frame = net::encode_frame(encode_response(response));
-    m_bytes_written_.add(frame.size());
-    session.send(std::move(frame));
+    reply(session, response);
     return;
   }
-  admit(session, std::move(request).take());
+  admit(session, std::move(request).take(), sole_frame);
 }
 
-void AnchordServer::admit(Session& session, Request request) {
+void AnchordServer::admit(Session& session, Request request,
+                          bool sole_frame) {
   const std::size_t admitted =
       in_flight_.fetch_add(1, std::memory_order_acq_rel);
   if (admitted >= config_.max_in_flight) {
@@ -286,9 +310,7 @@ void AnchordServer::admit(Session& session, Request request) {
     response.kind = chain::ErrorKind::kOverloaded;
     response.detail = "anchord: in-flight bound (" +
                       std::to_string(config_.max_in_flight) + ") reached";
-    Bytes frame = net::encode_frame(encode_response(response));
-    m_bytes_written_.add(frame.size());
-    session.send(std::move(frame));
+    reply(session, response);
     return;
   }
   // Gauge moves by the same ±1 the atomic does — never set() from a
@@ -302,6 +324,27 @@ void AnchordServer::admit(Session& session, Request request) {
     case Verb::kFeedStatus: m_req_feed_.add(); break;
     case Verb::kVerifyBatch: m_req_batch_.add(); break;
     case Verb::kFeedFetch: m_req_feedfetch_.add(); break;
+  }
+  // The inline rule: a verify whose certificates are all cache-resident is
+  // answered right here on the reactor thread, saving the hand-off to a
+  // worker and back, but only while nothing else wants the daemon: no
+  // request in flight, no second frame in this drain, no other session
+  // ready in this epoll batch. Under any concurrency the request goes to
+  // the pool, so parsing never runs on the reactor and work still fans out.
+  if (request.verb == Verb::kVerify && admitted == 0 && sole_frame &&
+      reactor_.ready_in_batch() == 1) {
+    std::optional<Response> response;
+    {
+      metrics::ScopedTimer timer(m_serve_latency_);
+      response = dispatcher_.dispatch_if_cached(request);
+      if (!response) timer.cancel();
+    }
+    if (response) {
+      m_inline_.add();
+      reply(session, *response);
+      release();
+      return;
+    }
   }
   const auto deadline =
       config_.request_timeout_ms > 0
@@ -327,14 +370,22 @@ void AnchordServer::admit(Session& session, Request request) {
       metrics::ScopedTimer timer(m_serve_latency_);
       response = dispatcher_.dispatch(request);
     }
-    Bytes frame = net::encode_frame(encode_response(response));
-    m_bytes_written_.add(frame.size());
-    self->send(std::move(frame));
-    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    m_in_flight_.add(-1);
+    reply(*self, response);
+    release();
     self->done();
   });
   m_queue_depth_.set(static_cast<std::int64_t>(pool_.queue_depth()));
+}
+
+void AnchordServer::reply(Session& session, const Response& response) {
+  Bytes frame = net::encode_frame(encode_response(response));
+  m_bytes_written_.add(frame.size());
+  session.send(std::move(frame));
+}
+
+void AnchordServer::release() {
+  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+  m_in_flight_.add(-1);
 }
 
 void AnchordServer::send_alert(Session& session, const std::string& reason) {

@@ -1,5 +1,6 @@
 // The anchord serving layer: readiness-driven sessions speaking the framed
-// wire protocol over a Conduit, executing verbs on a worker pool.
+// wire protocol over a Conduit, executing verbs on a worker pool (or, for
+// an idle daemon's cache-resident verify, on the reactor thread).
 //
 // Serving semantics (each has a dedicated test in anchord_test.cpp):
 //
@@ -38,7 +39,16 @@
 // Threading: serve() blocks for the life of one connection and is safe to
 // call concurrently from many threads (one per connection, as the tests
 // and bench do); it is a reactor registration plus a wait, not a loop.
-// Handler execution is shared: all sessions submit to one worker pool.
+// Handlers run in one of two places. As a rule every session submits to
+// one shared worker pool. The exception is the inline rule: a verify whose
+// certificates are all in the parsed-certificate cache is answered on the
+// reactor thread itself, but only while the daemon is otherwise idle (no
+// request in flight, no second complete frame in the same drain, no other
+// session ready in the same epoll batch). Such a request crosses one
+// thread instead of two; any sign of concurrency sends it to the pool, so
+// parsing never runs on the reactor, work still fans out across workers,
+// and the synchronous kOverloaded answer stays. Inline answers are counted
+// in anchor_anchord_inline_total.
 // serve() returns only after every response it admitted has been written
 // (or the stream died), so the caller may destroy the Conduit as soon as
 // serve() returns.
@@ -66,9 +76,11 @@ struct AnchordConfig {
   int request_timeout_ms = 0;          // 0 = no deadline
   std::size_t read_chunk = 4096;       // per-read_some byte cap
   std::size_t max_buffer_bytes = 1 << 22;  // unframed-bytes cap per session
-  // Test seam: runs at the start of every handler, before the deadline
-  // check. Lets the robustness tests hold requests in flight (overload)
-  // or past their deadline (timeout) deterministically.
+  // Test seam: runs at the start of every pooled handler, before the
+  // deadline check. Lets the robustness tests hold requests in flight
+  // (overload) or past their deadline (timeout) deterministically. A
+  // request answered inline on the reactor (see admit) never meets it: it
+  // starts the moment it is admitted, so its deadline cannot have passed.
   std::function<void()> handler_gate;
 };
 
@@ -99,8 +111,14 @@ class AnchordServer {
   // zero-copy, with one batched erase of the consumed prefix. Returns
   // false when the session must be torn down.
   bool drain_session(Session& session);
-  void on_frame(Session& session, net::MsgType type, BytesView payload);
-  void admit(Session& session, Request request);
+  // `sole_frame`: no other complete frame was buffered in the same drain.
+  void on_frame(Session& session, net::MsgType type, BytesView payload,
+                bool sole_frame);
+  void admit(Session& session, Request request, bool sole_frame);
+  // Encodes `response`, counts its bytes, and queues it on `session`.
+  void reply(Session& session, const Response& response);
+  // Returns one admission slot (the atomic and the gauge together).
+  void release();
   void send_alert(Session& session, const std::string& reason);
 
   VerbDispatcher dispatcher_;
@@ -109,13 +127,15 @@ class AnchordServer {
   Reactor reactor_;
   std::atomic<std::size_t> in_flight_{0};
 
-  metrics::Counter& m_connections_;
+  metrics::Counter& m_served_;
+  metrics::Counter& m_refused_;
   metrics::Counter& m_req_verify_;
   metrics::Counter& m_req_gccs_;
   metrics::Counter& m_req_metrics_;
   metrics::Counter& m_req_feed_;
   metrics::Counter& m_req_batch_;
   metrics::Counter& m_req_feedfetch_;
+  metrics::Counter& m_inline_;
   metrics::Counter& m_overloads_;
   metrics::Counter& m_timeouts_;
   metrics::Counter& m_malformed_;

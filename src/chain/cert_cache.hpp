@@ -40,14 +40,25 @@ class CertCache {
   // collision costs a miss (counted) and never returns the wrong
   // certificate.
   x509::CertPtr find(BytesView der) {
+    x509::CertPtr cert = peek(der);
+    (cert != nullptr ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+    return cert;
+  }
+
+  // find() without the hit/miss accounting, for a caller that decides
+  // afterwards whether the lookups count (see count_hits).
+  x509::CertPtr peek(BytesView der) {
     x509::CertPtr cert;
     if (lru_.get(Hash{}(der), cert) &&
         std::ranges::equal(BytesView(cert->der()), der)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
       return cert;
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
+  }
+
+  // Books `n` peek() hits as if each had been a find().
+  void count_hits(std::uint64_t n) {
+    hits_.fetch_add(n, std::memory_order_relaxed);
   }
 
   // Caches `cert` under its own DER, displacing whatever held the slot.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 namespace anchor::chain {
 
@@ -174,7 +175,7 @@ std::shared_ptr<const VerifyService::Snapshot> VerifyService::build_snapshot() {
 
 std::shared_ptr<const VerifyService::Snapshot> VerifyService::current_snapshot()
     const {
-  std::lock_guard<std::mutex> lock(store_mu_);
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
   return snapshot_;
 }
 
@@ -185,7 +186,13 @@ void VerifyService::publish(std::shared_ptr<const Snapshot> fresh,
   const std::uint64_t fresh_epoch = fresh->epoch;
   m_epoch_.set(static_cast<std::int64_t>(fresh_epoch));
   rootstore::export_store_metrics(*fresh->reader, registry_);
-  snapshot_ = std::move(fresh);
+  // The swap is all readers wait for; the predecessor (possibly a whole
+  // store copy) is destroyed after both locks are released.
+  std::shared_ptr<const Snapshot> retired;
+  {
+    std::lock_guard<std::mutex> swap(snapshot_mu_);
+    retired = std::exchange(snapshot_, std::move(fresh));
+  }
   lock.unlock();
   epoch_flushes_.fetch_add(1, std::memory_order_relaxed);
   m_epoch_flushes_.add();
@@ -391,6 +398,23 @@ VerifyResult VerifyService::validate(const Bytes& leaf_der,
     pool.add(std::move(cert).take());
   }
   return verify_on(*snapshot, leaf.value(), pool, options);
+}
+
+std::optional<VerifyResult> VerifyService::validate_if_cached(
+    const Bytes& leaf_der, std::span<const Bytes> intermediates_der,
+    const VerifyOptions& options) {
+  x509::CertPtr leaf = cert_cache_.peek(BytesView(leaf_der));
+  if (leaf == nullptr) return std::nullopt;
+  CertificatePool pool;
+  for (const Bytes& der : intermediates_der) {
+    x509::CertPtr cert = cert_cache_.peek(BytesView(der));
+    if (cert == nullptr) return std::nullopt;
+    pool.add(std::move(cert));
+  }
+  const std::uint64_t hits = 1 + intermediates_der.size();
+  cert_cache_.count_hits(hits);
+  m_cert_hit_.add(hits);
+  return verify_on(*current_snapshot(), leaf, pool, options);
 }
 
 std::vector<VerifyResult> VerifyService::validate_batch(

@@ -19,9 +19,11 @@
 //   * RCU-style store snapshots: verification runs against an immutable
 //     copy of the RootStore, so no lock is held during path construction
 //     or Datalog evaluation. Mutations flow through mutate(), which
-//     publishes a fresh snapshot; RootStore::epoch() (bumped by every
-//     mutation, including RSF delta application) keys the verdict cache,
-//     so a feed update invalidates stale verdicts for free.
+//     publishes a fresh snapshot; a reader only copies the published
+//     pointer, so it never waits for a mutation's store copy to finish.
+//     RootStore::epoch() (bumped by every mutation, including RSF delta
+//     application) keys the verdict cache, so a feed update invalidates
+//     stale verdicts for free.
 #pragma once
 
 #include <atomic>
@@ -30,6 +32,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -125,6 +128,15 @@ class VerifyService {
                         std::span<const Bytes> intermediates_der,
                         const VerifyOptions& options);
 
+  // validate() for a request whose certificates are all cache-resident:
+  // never parses. If any DER misses the parsed-certificate cache it
+  // returns nullopt and counts nothing, so the validate() the caller falls
+  // back to counts that miss exactly once. Otherwise it counts the hits
+  // and verifies exactly as validate() does, with the same result.
+  std::optional<VerifyResult> validate_if_cached(
+      const Bytes& leaf_der, std::span<const Bytes> intermediates_der,
+      const VerifyOptions& options);
+
   // Batch form of validate() for anchord's kVerifyBatch verb: N leaves that
   // share one intermediate pool, one usage, and one options block (only the
   // hostname varies per entry; hostnames[i] pairs with leaf_ders[i] and
@@ -199,8 +211,8 @@ class VerifyService {
   std::shared_ptr<const Snapshot> current_snapshot() const;
   std::shared_ptr<const Snapshot> build_snapshot();
   void attach_hook(const std::shared_ptr<Snapshot>& snapshot);
-  // Publishes `fresh` (store_mu_ must be held by the caller's scope exit)
-  // and flushes verdict-cache entries from prior epochs.
+  // Publishes `fresh` (the caller passes in its store_mu_ lock, released
+  // here) and flushes verdict-cache entries from prior epochs.
   void publish(std::shared_ptr<const Snapshot> fresh,
                std::unique_lock<std::mutex> lock);
   Result<x509::CertPtr> parse_cached(BytesView der);
@@ -213,12 +225,17 @@ class VerifyService {
   ServiceConfig config_;
 
   // Applied (in registration order) to every snapshot's verifier at build
-  // time; guarded by store_mu_ like the snapshot itself.
+  // time; guarded by store_mu_.
   std::vector<std::shared_ptr<const revocation::Provider>> revocation_sources_;
 
-  // Guards the live store and snapshot publication; never held while a
-  // verification is running.
-  mutable std::mutex store_mu_;
+  // Serializes writers (mutate, adopt_view, add_revocation_source) over the
+  // live store and snapshot builds. Readers never take it: a mutation may
+  // hold it for a whole store copy.
+  std::mutex store_mu_;
+  // Guards only the snapshot_ pointer: readers copy it, publish() swaps it
+  // (holding store_mu_ as well, so a writer may read snapshot_ under
+  // store_mu_ alone).
+  mutable std::mutex snapshot_mu_;
   std::shared_ptr<const Snapshot> snapshot_;
 
   ShardedLruCache<VerdictKey, CachedVerdict, VerdictKeyHash> verdict_cache_;

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include "anchord/client.hpp"
@@ -86,6 +89,13 @@ struct WirePki {
   }
 };
 
+// An in-memory conduit pair; a failure to make one fails the test.
+ConduitPair memory_pair() {
+  auto pair = make_memory_conduit();
+  if (!pair.ok()) throw std::runtime_error(pair.error());
+  return std::move(pair).take();
+}
+
 // One server over one in-memory connection, with the serve loop on its own
 // thread; close() on the client end shuts everything down.
 struct Harness {
@@ -95,7 +105,7 @@ struct Harness {
   VerbDispatcher::Backends backends;
   AnchordConfig config;
   std::unique_ptr<AnchordServer> server;
-  ConduitPair conduits = make_memory_conduit();
+  ConduitPair conduits = memory_pair();
   std::thread serve_thread;
 
   explicit Harness(AnchordConfig cfg = {})
@@ -293,7 +303,7 @@ TEST(AnchordServer, FeedStatusWithAttachedClient) {
   VerbDispatcher::Backends backends = h.backends;
   backends.feed = &rsf_client;
   AnchordServer server(backends, {}, h.registry);
-  ConduitPair pair = make_memory_conduit();
+  ConduitPair pair = memory_pair();
   std::thread serve([&] { server.serve(*pair.second); });
   {
     AnchordClient client(*pair.first);
@@ -539,7 +549,7 @@ TEST(AnchordWire, FeedFetchRequestAndResponseRoundTripThroughCodec) {
 // to the feed-fetch verb.
 struct FeedServerScope {
   VerbDispatcher::Backends backends;
-  ConduitPair pair = make_memory_conduit();
+  ConduitPair pair = memory_pair();
   AnchordServer server;
   std::thread serve;
 
@@ -931,6 +941,190 @@ TEST(AnchordServer, InFlightGaugeIsExactUnderConcurrentCompletions) {
   EXPECT_EQ(gauge.value(), 0);
 }
 
+// --- the inline rule -------------------------------------------------------
+
+// Polls `done` for up to five seconds; true once it holds.
+template <typename Pred>
+bool eventually(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// A handler gate that counts every pooled handler and, while closed, parks
+// it until open(). A request answered inline never passes through it.
+struct HoldingGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool closed = false;
+  std::atomic<int> started{0};
+
+  std::function<void()> fn() {
+    return [this] {
+      started.fetch_add(1);
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return !closed; });
+    };
+  }
+  void close() {
+    std::lock_guard<std::mutex> lock(mu);
+    closed = true;
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      closed = false;
+    }
+    cv.notify_all();
+  }
+  bool reached(int n) {
+    return eventually([&] { return started.load() >= n; });
+  }
+};
+
+std::uint64_t inline_total(Harness& h) {
+  return h.registry.counter("anchor_anchord_inline_total").value();
+}
+
+// The same verify twice on an idle daemon: the first is cold and pooled,
+// the second finds every certificate cached and is answered on the reactor.
+// Neither the bytes on the wire nor the service's accounting can tell the
+// two paths apart.
+TEST(AnchordServer, RepeatVerifyOnIdleDaemonIsAnsweredInline) {
+  Harness h;
+  AnchordClient client(h.client_end());
+  CertPtr leaf = h.pki.leaf("inline.example.com");
+  const Request request = h.pki.verify_request(leaf, "inline.example.com");
+
+  // Reference: a fresh service over the same store, dispatched directly.
+  metrics::Registry ref_registry;
+  VerifyService ref_service(h.pki.store, h.pki.sigs, {}, ref_registry);
+  VerbDispatcher::Backends ref_backends = h.backends;
+  ref_backends.service = &ref_service;
+  ref_backends.registry = &ref_registry;
+  VerbDispatcher direct(ref_backends);
+
+  for (int i = 0; i < 2; ++i) {
+    // The first response is written before its worker releases the
+    // admission slot; the inline rule needs that slot back.
+    ASSERT_TRUE(eventually([&] { return h.server->in_flight() == 0; }));
+    auto wire = client.call(request);
+    ASSERT_TRUE(wire.ok()) << wire.error();
+    EXPECT_TRUE(wire.value().ok);
+    Request mirror = request;
+    mirror.correlation_id = wire.value().correlation_id;
+    EXPECT_EQ(encode_response(wire.value()).payload,
+              encode_response(direct.dispatch(mirror)).payload)
+        << "wire and direct responses diverge for request " << i;
+  }
+  EXPECT_EQ(inline_total(h), 1u);
+  EXPECT_EQ(h.registry
+                .counter("anchor_anchord_requests_total", {{"verb", "verify"}})
+                .value(),
+            2u);
+  EXPECT_EQ(h.registry.snapshot().at("anchor_anchord_serve_seconds_count"), 2);
+
+  const chain::ServiceStats wire_stats = h.service.stats();
+  const chain::ServiceStats ref_stats = ref_service.stats();
+  EXPECT_EQ(wire_stats.cert_hits, ref_stats.cert_hits);
+  EXPECT_EQ(wire_stats.cert_misses, ref_stats.cert_misses);
+  EXPECT_EQ(wire_stats.calls, ref_stats.calls);
+
+  metrics::Gauge& gauge = h.registry.gauge("anchor_anchord_in_flight");
+  EXPECT_TRUE(eventually([&] { return gauge.value() == 0; }));
+  EXPECT_EQ(gauge.value(), 0);
+}
+
+// A request whose certificates are not cached goes to the pool (parsing
+// never runs on the reactor) and meets the handler gate there; its misses
+// are counted once, by the pooled validate.
+TEST(AnchordServer, ColdVerifyIsPooledThroughTheGate) {
+  std::atomic<int> gated{0};
+  AnchordConfig config;
+  config.handler_gate = [&] { gated.fetch_add(1); };
+  Harness h(config);
+  AnchordClient client(h.client_end());
+
+  CertPtr leaf = h.pki.leaf("cold.example.com");
+  auto response = client.call(h.pki.verify_request(leaf, "cold.example.com"));
+  ASSERT_TRUE(response.ok()) << response.error();
+  EXPECT_TRUE(response.value().ok);
+  EXPECT_EQ(gated.load(), 1);
+  EXPECT_EQ(inline_total(h), 0u);
+  EXPECT_EQ(h.service.stats().cert_hits, 0u);
+  EXPECT_EQ(h.service.stats().cert_misses, 2u);  // leaf + intermediate
+}
+
+// Two warm frames in one write are a pipelined burst: neither runs inline,
+// so both can fan out to workers.
+TEST(AnchordServer, TwoWarmFramesInOneWriteArePooled) {
+  HoldingGate gate;
+  AnchordConfig config;
+  config.handler_gate = gate.fn();
+  Harness h(config);
+  AnchordClient client(h.client_end());
+
+  CertPtr leaf = h.pki.leaf("burst.example.com");
+  const Request request = h.pki.verify_request(leaf, "burst.example.com");
+  auto warm = client.call(request);  // pooled: fills the cert cache
+  ASSERT_TRUE(warm.ok()) << warm.error();
+  ASSERT_TRUE(eventually([&] { return h.server->in_flight() == 0; }));
+
+  gate.close();
+  Request first = request;
+  first.correlation_id = 101;
+  Request second = request;
+  second.correlation_id = 102;
+  Bytes burst = net::encode_frame(encode_request(first));
+  append(burst, BytesView(net::encode_frame(encode_request(second))));
+  ASSERT_TRUE(h.client_end().write(BytesView(burst)));
+  EXPECT_TRUE(gate.reached(3));  // the warm-up plus both frames
+  gate.open();
+  for (std::uint64_t id : {101u, 102u}) {
+    auto response = client.receive(id);
+    ASSERT_TRUE(response.ok()) << response.error();
+    EXPECT_TRUE(response.value().ok);
+  }
+  EXPECT_EQ(inline_total(h), 0u);
+}
+
+// A warm request that arrives while another request is in flight is
+// pooled: the daemon is busy, so the work goes where it can run in
+// parallel.
+TEST(AnchordServer, WarmVerifyWhileAnotherIsInFlightIsPooled) {
+  HoldingGate gate;
+  AnchordConfig config;
+  config.handler_gate = gate.fn();
+  Harness h(config);
+  AnchordClient client(h.client_end());
+
+  CertPtr warm_leaf = h.pki.leaf("warm.example.com");
+  const Request warm = h.pki.verify_request(warm_leaf, "warm.example.com");
+  auto first = client.call(warm);
+  ASSERT_TRUE(first.ok()) << first.error();
+  ASSERT_TRUE(eventually([&] { return h.server->in_flight() == 0; }));
+
+  gate.close();
+  CertPtr held_leaf = h.pki.leaf("held.example.com");
+  auto held = client.send(h.pki.verify_request(held_leaf, "held.example.com"));
+  ASSERT_TRUE(held.ok());
+  ASSERT_TRUE(gate.reached(2));
+  auto again = client.send(warm);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(gate.reached(3));  // the warm request met the gate
+  gate.open();
+  for (std::uint64_t id : {held.value(), again.value()}) {
+    auto response = client.receive(id);
+    ASSERT_TRUE(response.ok()) << response.error();
+    EXPECT_TRUE(response.value().ok);
+  }
+  EXPECT_EQ(inline_total(h), 0u);
+}
+
 // --- transports and concurrency -------------------------------------------
 
 TEST(AnchordServer, RoundTripOverSocketpair) {
@@ -971,12 +1165,16 @@ class NoReadinessConduit : public Conduit {
 
 // Sessions are readiness-driven only: a conduit without a readiness fd is
 // closed unserved, serve() returns at once, and the client sees
-// end-of-stream instead of a hang.
+// end-of-stream instead of a hang. The refusal is counted, so an operator
+// can tell it from a served connection.
 TEST(AnchordServer, ConduitWithoutReadinessFdIsClosedUnserved) {
   Harness h;
-  ConduitPair pair = make_memory_conduit();
+  // A server of its own, so the harness's served session is not counted.
+  metrics::Registry registry;
+  AnchordServer server(h.backends, {}, registry);
+  ConduitPair pair = memory_pair();
   NoReadinessConduit hidden(*pair.second);
-  std::thread serve([&] { h.server->serve(hidden); });
+  std::thread serve([&] { server.serve(hidden); });
   {
     AnchordClient client(*pair.first);
     CertPtr leaf = h.pki.leaf("noready.example.com");
@@ -988,7 +1186,17 @@ TEST(AnchordServer, ConduitWithoutReadinessFdIsClosedUnserved) {
   }
   pair.first->close();
   serve.join();
-  EXPECT_EQ(h.server->in_flight(), 0u);
+  EXPECT_EQ(server.in_flight(), 0u);
+  EXPECT_EQ(registry
+                .counter("anchor_anchord_connections_total",
+                         {{"outcome", "refused"}})
+                .value(),
+            1u);
+  EXPECT_EQ(registry
+                .counter("anchor_anchord_connections_total",
+                         {{"outcome", "served"}})
+                .value(),
+            0u);
 }
 
 // A frame trickled one byte per write over a real socket: every byte can
@@ -1078,7 +1286,7 @@ TEST(AnchordServer, ConcurrentConnectionsWithPipelining) {
   std::vector<ConduitPair> pairs;
   pairs.reserve(kConnections);
   for (int c = 0; c < kConnections; ++c) {
-    pairs.push_back(make_memory_conduit());
+    pairs.push_back(memory_pair());
     serve_threads.emplace_back(
         [&, c] { h.server->serve(*pairs[static_cast<std::size_t>(c)].second); });
   }

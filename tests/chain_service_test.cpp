@@ -12,7 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <map>
+#include <optional>
 #include <thread>
 
 #include "core/facts.hpp"
@@ -355,6 +358,80 @@ TEST(VerifyService, DerEntryPointsShareParseCache) {
                                          pki.options_for(0));
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_GE(service.stats().cert_hits, 5u);
+}
+
+// The reactor-side probe: it never parses, and it counts nothing unless
+// every DER hits, so a caller that falls back to validate() counts each
+// miss once. A full hit verifies exactly as validate() does.
+TEST(VerifyService, ValidateIfCachedNeverParsesAndCountsOnlyFullHits) {
+  ServicePki pki;
+  VerifyService service(pki.store, pki.sigs);
+  const Bytes leaf = pki.leaves[0]->der();
+  const std::vector<Bytes> intermediates{pki.intermediates[0]->der()};
+  const VerifyOptions options = pki.options_for(0);
+
+  EXPECT_FALSE(service.validate_if_cached(leaf, intermediates, options));
+  ServiceStats cold = service.stats();
+  EXPECT_EQ(cold.cert_hits, 0u);
+  EXPECT_EQ(cold.cert_misses, 0u);
+  EXPECT_EQ(cold.calls, 0u);
+
+  VerifyResult parsed = service.validate(leaf, intermediates, options);
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  EXPECT_EQ(service.stats().cert_misses, 2u);
+
+  // The leaf is cached but this intermediate is not: still a miss.
+  const std::vector<Bytes> other{pki.intermediates[1]->der()};
+  EXPECT_FALSE(service.validate_if_cached(leaf, other, options));
+  EXPECT_EQ(service.stats().cert_hits, 0u);
+  EXPECT_EQ(service.stats().cert_misses, 2u);
+
+  std::optional<VerifyResult> cached =
+      service.validate_if_cached(leaf, intermediates, options);
+  ASSERT_TRUE(cached.has_value());
+  EXPECT_EQ(cached->ok, parsed.ok);
+  EXPECT_EQ(cached->kind, parsed.kind);
+  EXPECT_EQ(cached->paths_explored, parsed.paths_explored);
+  EXPECT_EQ(chain_hashes(*cached), chain_hashes(parsed));
+  ServiceStats warm = service.stats();
+  EXPECT_EQ(warm.cert_hits, 2u);
+  EXPECT_EQ(warm.cert_misses, 2u);
+  EXPECT_EQ(warm.calls, 2u);
+}
+
+// A mutation holds the writer lock through its callback and a whole store
+// copy; readers must not queue behind it. Here the callback blocks until a
+// reader has finished, so a reader that waits for the writer never does.
+TEST(VerifyService, ReadersDoNotWaitForAMutation) {
+  ServicePki pki;
+  VerifyService service(pki.store, pki.sigs);
+  const std::uint64_t before = service.epoch();
+
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread writer([&] {
+    service.mutate([&](rootstore::RootStore&) {
+      entered.set_value();
+      released.wait();
+    });
+  });
+  entered.get_future().wait();
+
+  auto reader = std::async(std::launch::async, [&] {
+    VerifyResult result =
+        service.verify(pki.leaves[0], pki.pool, pki.options_for(0));
+    return std::make_pair(result.ok, service.epoch());
+  });
+  const bool finished =
+      reader.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  release.set_value();
+  writer.join();
+  EXPECT_TRUE(finished) << "a reader waited for the mutation";
+  const auto [ok, epoch] = reader.get();
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(epoch, before);  // the old snapshot served until the publish
+  EXPECT_GT(service.epoch(), before);
 }
 
 // Regression: the verdict-cache hit path used to drop the evaluator's

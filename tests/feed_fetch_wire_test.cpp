@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <thread>
 
 #include "anchord/client.hpp"
@@ -47,6 +48,13 @@ rootstore::RootStore store_with(int count) {
   return store;
 }
 
+// An in-memory conduit pair; a failure to make one fails the test.
+ConduitPair memory_pair() {
+  auto pair = make_memory_conduit();
+  if (!pair.ok()) throw std::runtime_error(pair.error());
+  return std::move(pair).take();
+}
+
 // An anchord server whose feed-fetch verb serves `feed`, over an in-memory
 // conduit with the serve loop on its own thread.
 struct FeedHarness {
@@ -58,7 +66,7 @@ struct FeedHarness {
   chain::VerifyService service{empty_store, sigs, {}, registry};
   VerbDispatcher::Backends backends;
   std::unique_ptr<AnchordServer> server;
-  ConduitPair conduits = make_memory_conduit();
+  ConduitPair conduits = memory_pair();
   std::thread serve_thread;
 
   explicit FeedHarness(bool attach_feed = true) {

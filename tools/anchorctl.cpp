@@ -938,19 +938,15 @@ int cmd_feed_fetch(int argc, char** argv) {
   backends.registry = &registry;
   anchord::AnchordServer server(backends, {}, registry);
 
-  anchord::ConduitPair conduits;
   const std::string transport =
       flag_value(argc, argv, "--transport", "memory");
-  if (transport == "unix") {
-    auto pair = anchord::make_socketpair_conduit();
-    if (!pair.ok()) {
-      std::fprintf(stderr, "error: %s\n", pair.error().c_str());
-      return 1;
-    }
-    conduits = std::move(pair).take();
-  } else {
-    conduits = anchord::make_memory_conduit();
+  auto pair = transport == "unix" ? anchord::make_socketpair_conduit()
+                                  : anchord::make_memory_conduit();
+  if (!pair.ok()) {
+    std::fprintf(stderr, "error: %s\n", pair.error().c_str());
+    return 1;
   }
+  anchord::ConduitPair conduits = std::move(pair).take();
   std::thread serve([&] { server.serve(*conduits.second); });
   int code = 0;
   {
@@ -1268,19 +1264,15 @@ int cmd_daemon(int argc, char** argv) {
   backends.registry = &registry;
   anchord::AnchordServer server(backends, {}, registry);
 
-  anchord::ConduitPair conduits;
   const std::string transport =
       flag_value(argc, argv, "--transport", "memory");
-  if (transport == "unix") {
-    auto pair = anchord::make_socketpair_conduit();
-    if (!pair.ok()) {
-      std::fprintf(stderr, "error: %s\n", pair.error().c_str());
-      return 1;
-    }
-    conduits = std::move(pair).take();
-  } else {
-    conduits = anchord::make_memory_conduit();
+  auto pair = transport == "unix" ? anchord::make_socketpair_conduit()
+                                  : anchord::make_memory_conduit();
+  if (!pair.ok()) {
+    std::fprintf(stderr, "error: %s\n", pair.error().c_str());
+    return 1;
   }
+  anchord::ConduitPair conduits = std::move(pair).take();
   std::thread serve([&] { server.serve(*conduits.second); });
   int code;
   {
@@ -1366,7 +1358,12 @@ int cmd_metrics(int argc, char** argv) {
     backends.service = &service;
     backends.store = &store.value();
     anchord::AnchordServer server(backends, {});
-    anchord::ConduitPair conduits = anchord::make_memory_conduit();
+    auto pair = anchord::make_memory_conduit();
+    if (!pair.ok()) {
+      std::fprintf(stderr, "error: %s\n", pair.error().c_str());
+      return 1;
+    }
+    anchord::ConduitPair conduits = std::move(pair).take();
     std::thread serve([&] { server.serve(*conduits.second); });
     {
       anchord::AnchordClient client(*conduits.first);
