@@ -18,6 +18,10 @@
 // in-memory conduit.
 #include <benchmark/benchmark.h>
 
+#include <sched.h>
+
+#include <atomic>
+#include <barrier>
 #include <deque>
 #include <thread>
 #include <vector>
@@ -94,10 +98,9 @@ Fixture& fixture() {
 // One client connection's workload: keep `depth` requests in flight until
 // kRequestsPerConnection responses have been claimed. Returns responses
 // that did not come back ok (overloads would land here).
-std::size_t run_connection(anchord::Conduit& conduit, std::size_t depth,
+std::size_t run_connection(anchord::AnchordClient& client, std::size_t depth,
                            std::size_t offset) {
   const Fixture& f = fixture();
-  anchord::AnchordClient client(conduit, /*timeout_ms=*/30000);
   std::deque<std::uint64_t> window;
   std::size_t sent = 0;
   std::size_t failures = 0;
@@ -115,6 +118,28 @@ std::size_t run_connection(anchord::Conduit& conduit, std::size_t depth,
     if (!response.ok() || !response.value().ok) ++failures;
   }
   return failures;
+}
+
+// The last `count` CPUs this process may run on, highest first.
+std::vector<int> last_cpus(std::size_t count) {
+  std::vector<int> cpus;
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof allowed, &allowed) != 0) return cpus;
+  for (int cpu = CPU_SETSIZE - 1; cpu >= 0 && cpus.size() < count; --cpu) {
+    if (CPU_ISSET(cpu, &allowed)) cpus.push_back(cpu);
+  }
+  return cpus;
+}
+
+// Pins the calling thread to `cpu`. Only the benchmark's own client and
+// serve() threads are pinned; the daemon's worker pool is left to the
+// scheduler, as in a deployment.
+void pin_to(int cpu) {
+  cpu_set_t chosen;
+  CPU_ZERO(&chosen);
+  CPU_SET(cpu, &chosen);
+  (void)sched_setaffinity(0, sizeof chosen, &chosen);
 }
 
 void report_registry_deltas(benchmark::State& state,
@@ -157,41 +182,69 @@ void run_throughput(benchmark::State& state, bool socketpair,
                                // not the overload path (counted anyway)
   anchord::AnchordServer server(backends, config, registry);
 
+  // Conduits, serve() threads and client threads live for the whole run;
+  // each iteration releases every client for one batch of
+  // kRequestsPerConnection requests and waits for all of them, so an
+  // iteration prices serving, not thread and socket setup. Client c runs
+  // on the last CPU, its serve() thread on the one before (when there is
+  // one).
+  std::vector<anchord::ConduitPair> pairs;
+  pairs.reserve(connections);
+  for (std::size_t c = 0; c < connections; ++c) {
+    auto pair = socketpair ? anchord::make_socketpair_conduit()
+                           : anchord::make_memory_conduit();
+    if (!pair.ok()) {
+      state.SkipWithError(pair.error().c_str());
+      return;
+    }
+    pairs.push_back(std::move(pair).take());
+  }
+  const std::vector<int> cpus = last_cpus(2);
+  auto pin = [&cpus](std::size_t slot) {
+    if (!cpus.empty()) pin_to(cpus[slot % cpus.size()]);
+  };
+  std::vector<std::thread> serve_threads;
+  for (std::size_t c = 0; c < connections; ++c) {
+    serve_threads.emplace_back([&server, &pairs, &pin, c] {
+      pin(1);
+      server.serve(*pairs[c].second);
+    });
+  }
+  std::barrier sync(static_cast<std::ptrdiff_t>(connections + 1));
+  std::atomic<bool> stop{false};
+  std::vector<std::size_t> failures(connections, 0);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < connections; ++c) {
+    clients.emplace_back([&, c] {
+      pin(0);
+      anchord::AnchordClient client(*pairs[c].first, /*timeout_ms=*/30000);
+      for (;;) {
+        sync.arrive_and_wait();  // batch start
+        if (stop.load()) return;
+        failures[c] += run_connection(client, depth, c * 31);
+        sync.arrive_and_wait();  // batch done
+      }
+    });
+  }
+
   const metrics::Snapshot before = registry.snapshot();
   double total_requests = 0;
   for (auto _ : state) {
-    std::vector<anchord::ConduitPair> pairs;
-    std::vector<std::thread> serve_threads;
-    pairs.reserve(connections);
-    for (std::size_t c = 0; c < connections; ++c) {
-      auto pair = socketpair ? anchord::make_socketpair_conduit()
-                             : anchord::make_memory_conduit();
-      if (!pair.ok()) {
-        state.SkipWithError(pair.error().c_str());
-        return;
-      }
-      pairs.push_back(std::move(pair).take());
-      serve_threads.emplace_back(
-          [&server, &pairs, c] { server.serve(*pairs[c].second); });
-    }
-    std::vector<std::thread> clients;
-    std::vector<std::size_t> failures(connections, 0);
-    for (std::size_t c = 0; c < connections; ++c) {
-      clients.emplace_back([&pairs, &failures, depth, c] {
-        failures[c] = run_connection(*pairs[c].first, depth, c * 31);
-      });
-    }
-    for (auto& t : clients) t.join();
-    for (std::size_t c = 0; c < connections; ++c) pairs[c].first->close();
-    for (auto& t : serve_threads) t.join();
-    for (std::size_t c = 0; c < connections; ++c) {
-      if (failures[c] != 0) {
-        state.SkipWithError("connection saw failed responses");
-        return;
-      }
-    }
+    sync.arrive_and_wait();
+    sync.arrive_and_wait();
     total_requests +=
         static_cast<double>(connections * kRequestsPerConnection);
+  }
+  stop.store(true);
+  sync.arrive_and_wait();
+  for (auto& t : clients) t.join();
+  for (std::size_t c = 0; c < connections; ++c) pairs[c].first->close();
+  for (auto& t : serve_threads) t.join();
+  for (std::size_t failed : failures) {
+    if (failed != 0) {
+      state.SkipWithError("connection saw failed responses");
+      return;
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(total_requests));
   report_registry_deltas(state, before, registry.snapshot(), total_requests);

@@ -1,5 +1,7 @@
 #include "core/executor.hpp"
 
+#include <array>
+
 #include "datalog/compiled.hpp"
 
 namespace anchor::core {
@@ -17,32 +19,32 @@ datalog::Session& tls_session() {
 
 }  // namespace
 
-bool GccExecutor::run_compiled(const FactSet& facts, const FactSet* context,
-                               const std::string& chain_id,
-                               std::string_view usage, const Gcc& gcc,
-                               GccVerdict* verdict) const {
+bool GccExecutor::run_compiled(const Chain& chain, const ChainIds& ids,
+                               const FactSet* context, std::string_view usage,
+                               const Gcc& gcc, GccVerdict& verdict) const {
   const auto& program = gcc.compiled();
   if (program == nullptr) return false;  // unvalidated Gcc: fail closed
 
   datalog::Session& session = tls_session();
   session.prepare(*program);
-  facts.load_into(*program, session);
-  if (context != nullptr) context->load_into(*program, session);
-  if (verdict != nullptr) {
-    verdict->facts_encoded +=
-        facts.size() + (context != nullptr ? context->size() : 0);
+  const FactRelations& relations = gcc.fact_relations();
+  verdict.facts_encoded += load_chain(chain, ids, relations, session);
+  if (context != nullptr) {
+    context->load_into(*program, session);
+    verdict.facts_encoded += context->size();
   }
 
   const datalog::EvalStats stats = program->run(session, strategy_);
 
-  const datalog::Value goal_args[2] = {
-      datalog::Value(chain_id), datalog::Value(std::string(usage))};
-  const bool holds = program->query_holds(session, "valid", goal_args);
+  // valid(Chain, Usage): an id the session never interned is in no tuple.
+  const auto chain_id = session.find(ids.chain());
+  const auto usage_id = session.find(usage);
+  const bool holds = chain_id && usage_id &&
+                     session.contains(relations.valid(),
+                                      std::array{*chain_id, *usage_id});
 
-  if (verdict != nullptr) {
-    ++verdict->gccs_evaluated;
-    verdict->stats.accumulate(stats);
-  }
+  ++verdict.gccs_evaluated;
+  verdict.stats.accumulate(stats);
   m_gccs_evaluated_.add();
   m_derived_tuples_.add(stats.derived_tuples);
   if (stats.type_errors > 0) m_type_errors_.add(stats.type_errors);
@@ -54,45 +56,44 @@ bool GccExecutor::run_compiled(const FactSet& facts, const FactSet* context,
   return !stats.truncated && !stats.errored && holds;
 }
 
-bool GccExecutor::evaluate_one(const Chain& chain, std::string_view usage,
-                               const Gcc& gcc, GccVerdict* verdict,
-                               const FactSet* context) const {
+bool GccExecutor::evaluate_into(const Chain& chain, std::string_view usage,
+                                std::span<const Gcc> gccs,
+                                const FactSet* context,
+                                GccVerdict& verdict) const {
+  if (gccs.empty()) return true;
+
   metrics::ScopedTimer span(m_eval_seconds_);
   m_evaluations_.add();
-  FactSet facts;
-  const std::string chain_id = chain_id_of(chain);
-  encode_chain(chain, chain_id, facts);
-  const bool allowed =
-      run_compiled(facts, context, chain_id, usage, gcc, verdict);
-  if (!allowed) m_denials_.add();
-  return allowed;
+
+  // Ids are rendered once; each GCC interns the facts its program reads
+  // into its own session (per-program symbol tables keep GCCs isolated
+  // from each other, as the paper requires).
+  const ChainIds ids(chain);
+  for (const Gcc& gcc : gccs) {
+    if (!run_compiled(chain, ids, context, usage, gcc, verdict)) {
+      verdict.allowed = false;
+      verdict.failed_gcc = gcc.name();
+      m_denials_.add();
+      return false;
+    }
+  }
+  return true;
 }
 
 GccVerdict GccExecutor::evaluate(const Chain& chain, std::string_view usage,
                                  std::span<const Gcc> gccs,
                                  const FactSet* context) const {
   GccVerdict verdict;
-  if (gccs.empty()) return verdict;
-
-  metrics::ScopedTimer span(m_eval_seconds_);
-  m_evaluations_.add();
-
-  // The chain is encoded once; each GCC interns the same FactSet into its
-  // own session (per-program symbol tables keep GCCs isolated from each
-  // other, as the paper requires).
-  FactSet facts;
-  const std::string chain_id = chain_id_of(chain);
-  encode_chain(chain, chain_id, facts);
-
-  for (const Gcc& gcc : gccs) {
-    if (!run_compiled(facts, context, chain_id, usage, gcc, &verdict)) {
-      verdict.allowed = false;
-      verdict.failed_gcc = gcc.name();
-      m_denials_.add();
-      return verdict;
-    }
-  }
+  evaluate_into(chain, usage, gccs, context, verdict);
   return verdict;
+}
+
+bool GccExecutor::evaluate_one(const Chain& chain, std::string_view usage,
+                               const Gcc& gcc, GccVerdict* verdict,
+                               const FactSet* context) const {
+  GccVerdict local;
+  return evaluate_into(chain, usage, std::span(&gcc, 1), context,
+                       verdict != nullptr ? *verdict : local);
 }
 
 }  // namespace anchor::core

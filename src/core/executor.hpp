@@ -61,17 +61,24 @@ class GccExecutor {
                       std::span<const Gcc> gccs,
                       const FactSet* context = nullptr) const;
 
-  // Single-constraint form.
+  // Single-constraint form: evaluate() over a one-element span. A non-null
+  // `verdict` accumulates the evaluation's stats and, on denial, the
+  // failure.
   bool evaluate_one(const Chain& chain, std::string_view usage,
                     const Gcc& gcc, GccVerdict* verdict = nullptr,
                     const FactSet* context = nullptr) const;
 
  private:
-  // Runs one precompiled GCC over an already-encoded chain (the chain is
-  // encoded once per evaluate() call and shared across GCCs).
-  bool run_compiled(const FactSet& facts, const FactSet* context,
-                    const std::string& chain_id, std::string_view usage,
-                    const Gcc& gcc, GccVerdict* verdict) const;
+  // evaluate() into `verdict`; returns whether every GCC held.
+  bool evaluate_into(const Chain& chain, std::string_view usage,
+                     std::span<const Gcc> gccs, const FactSet* context,
+                     GccVerdict& verdict) const;
+  // Runs one precompiled GCC: loads the chain facts its program reads (ids
+  // rendered once per evaluate() call and shared across GCCs), then the
+  // context, and probes valid(Chain, Usage).
+  bool run_compiled(const Chain& chain, const ChainIds& ids,
+                    const FactSet* context, std::string_view usage,
+                    const Gcc& gcc, GccVerdict& verdict) const;
 
   datalog::Strategy strategy_;
 

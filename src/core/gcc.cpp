@@ -121,6 +121,7 @@ Result<Gcc> Gcc::create(std::string name, const Sha256::Digest& root_hash,
   gcc.program_ = std::move(program);
   gcc.compiled_ = std::make_shared<const datalog::CompiledProgram>(
       std::move(compiled).take());
+  gcc.fact_relations_ = FactRelations(*gcc.compiled_);
   return gcc;
 }
 
@@ -146,6 +147,7 @@ Result<Gcc> Gcc::from_compiled(
   gcc.source_ = std::move(source);
   gcc.justification_ = std::move(justification);
   gcc.compiled_ = std::move(compiled);
+  gcc.fact_relations_ = FactRelations(*gcc.compiled_);
   return gcc;
 }
 

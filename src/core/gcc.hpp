@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/facts.hpp"
 #include "datalog/ast.hpp"
 #include "datalog/compiled.hpp"
 #include "util/result.hpp"
@@ -67,6 +68,9 @@ class Gcc {
   const std::shared_ptr<const datalog::CompiledProgram>& compiled() const {
     return compiled_;
   }
+  // Which fact-vocabulary relations (and valid/2) compiled() mentions,
+  // resolved alongside it so a verify loads only those.
+  const FactRelations& fact_relations() const { return fact_relations_; }
 
   bool operator==(const Gcc& other) const {
     return name_ == other.name_ && root_hash_ == other.root_hash_ &&
@@ -82,6 +86,7 @@ class Gcc {
   std::string justification_;
   datalog::Program program_;
   std::shared_ptr<const datalog::CompiledProgram> compiled_;
+  FactRelations fact_relations_;
 };
 
 // Per-root constraint registry: the executable half of a root store. GCCs

@@ -45,12 +45,11 @@ Result<CompiledProgram> CompiledProgram::compile(const Program& program) {
   if (Status s = check_safety(program); !s) return err(s.error());
 
   auto relation_of = [&cp](const std::string& pred, std::size_t arity) -> int {
-    std::string key = relation_key(pred, arity);
-    auto it = cp.index_.find(key);
-    if (it != cp.index_.end()) return it->second;
+    const int known = cp.relation_index(pred, arity);
+    if (known >= 0) return known;
     const int id = static_cast<int>(cp.relations_.size());
     cp.relations_.push_back({pred, static_cast<std::uint32_t>(arity)});
-    cp.index_.emplace(std::move(key), id);
+    cp.index_.emplace(RelationKey{pred, arity}, id);
     return id;
   };
 
@@ -256,7 +255,7 @@ Result<CompiledProgram> CompiledProgram::compile(const Program& program) {
 
 int CompiledProgram::relation_index(std::string_view predicate,
                                     std::size_t arity) const {
-  auto it = index_.find(relation_key(std::string(predicate), arity));
+  auto it = index_.find(RelationName{predicate, arity});
   return it == index_.end() ? -1 : it->second;
 }
 
@@ -563,7 +562,7 @@ bool CompiledProgram::query_holds(const Session& s, std::string_view predicate,
     if (!iv) return false;  // value never interned => no tuple contains it
     probe.push_back(*iv);
   }
-  return s.relations_[static_cast<std::size_t>(r)].contains(probe);
+  return s.contains(r, probe);
 }
 
 void CompiledProgram::decode_model(const Session& s, Database& out) const {
@@ -597,7 +596,17 @@ bool Session::add_fact(int relation, std::span<const Value> args) {
   if (relation < 0) return false;
   tuple_scratch_.clear();
   for (const Value& v : args) tuple_scratch_.push_back(overlay_.intern(v));
-  return relations_[static_cast<std::size_t>(relation)].insert(tuple_scratch_);
+  return add_tuple(relation, tuple_scratch_);
+}
+
+bool Session::add_tuple(int relation, std::span<const IValue> tuple) {
+  if (relation < 0) return false;
+  return relations_[static_cast<std::size_t>(relation)].insert(tuple);
+}
+
+bool Session::contains(int relation, std::span<const IValue> tuple) const {
+  if (relation < 0) return false;
+  return relations_[static_cast<std::size_t>(relation)].contains(tuple);
 }
 
 std::size_t Session::total_tuples() const {

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -50,6 +51,20 @@ class Session {
   // program never mentions that predicate, so the fact cannot matter).
   // Returns true if the tuple was new.
   bool add_fact(int relation, std::span<const Value> args);
+
+  // The interned form of the same API, for callers that build tuples
+  // themselves (core's chain-fact loader). Ids from intern()/find() are
+  // valid in this session until the next prepare().
+  IValue intern(std::string_view s) { return overlay_.intern_string(s); }
+  IValue intern(std::int64_t v) { return overlay_.intern_int(v); }
+  // Lookup without interning; nullopt means no tuple can contain `s`.
+  std::optional<IValue> find(std::string_view s) const {
+    return overlay_.find_string(s);
+  }
+  bool add_tuple(int relation, std::span<const IValue> tuple);
+  // Ground probe against the model (call after run()); false for a
+  // negative relation index.
+  bool contains(int relation, std::span<const IValue> tuple) const;
 
   // Facts plus derived tuples currently stored (after run()).
   std::size_t total_tuples() const;
@@ -92,7 +107,7 @@ class CompiledProgram {
   void decode_model(const Session& session, Database& out) const;
 
   // Dense relation id for "predicate/arity", or -1 if the program never
-  // mentions it.
+  // mentions it. Allocation-free: the index is keyed on (predicate, arity).
   int relation_index(std::string_view predicate, std::size_t arity) const;
 
   // Deterministic binary encoding of the full compiled form — symbol
@@ -112,6 +127,9 @@ class CompiledProgram {
   std::uint32_t relation_arity(std::size_t i) const {
     return relations_[i].arity;
   }
+  const std::string& relation_predicate(std::size_t i) const {
+    return relations_[i].predicate;
+  }
   const SymbolTable& symbols() const { return symbols_; }
   std::uint32_t max_slots() const { return max_slots_; }
   int num_strata() const { return num_strata_; }
@@ -122,6 +140,37 @@ class CompiledProgram {
     std::string predicate;
     std::uint32_t arity = 0;
   };
+
+  // relation_index's key: (predicate, arity), looked up heterogeneously so
+  // a probe never builds a "pred/arity" string.
+  struct RelationName {
+    std::string_view predicate;
+    std::size_t arity = 0;
+  };
+  struct RelationKey {
+    std::string predicate;
+    std::size_t arity = 0;
+  };
+  struct RelationKeyHash {
+    using is_transparent = void;
+    std::size_t operator()(RelationName k) const noexcept {
+      return std::hash<std::string_view>{}(k.predicate) ^
+             (k.arity * 0x9e3779b97f4a7c15ULL);
+    }
+    std::size_t operator()(const RelationKey& k) const noexcept {
+      return (*this)(RelationName{k.predicate, k.arity});
+    }
+  };
+  struct RelationKeyEq {
+    using is_transparent = void;
+    template <class A, class B>
+    bool operator()(const A& a, const B& b) const noexcept {
+      return a.arity == b.arity &&
+             std::string_view(a.predicate) == std::string_view(b.predicate);
+    }
+  };
+  using RelationIndex =
+      std::unordered_map<RelationKey, int, RelationKeyHash, RelationKeyEq>;
 
   // A program fact, pre-interned at compile time.
   struct CFact {
@@ -191,7 +240,7 @@ class CompiledProgram {
 
   SymbolTable symbols_;
   std::vector<RelationInfo> relations_;
-  std::unordered_map<std::string, int> index_;  // relation_key -> dense id
+  RelationIndex index_;  // (predicate, arity) -> dense id
   std::vector<CFact> facts_;
   std::vector<CRule> rules_;
   std::vector<std::vector<std::uint32_t>> stratum_rules_;

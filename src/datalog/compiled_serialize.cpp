@@ -215,8 +215,8 @@ Result<CompiledProgram> CompiledProgram::deserialize(BytesView bytes) {
     if (!r.str(rel.predicate) || !r.u32(rel.arity) || rel.arity > kMaxPool) {
       return fail("truncated relation table");
     }
-    std::string key = relation_key(rel.predicate, rel.arity);
-    if (!cp.index_.emplace(std::move(key), static_cast<int>(i)).second) {
+    if (!cp.index_.emplace(RelationKey{rel.predicate, rel.arity},
+                           static_cast<int>(i)).second) {
       return fail("duplicate relation");
     }
     cp.relations_.push_back(std::move(rel));

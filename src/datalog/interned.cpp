@@ -82,8 +82,12 @@ std::optional<IValue> SymbolOverlay::find(const Value& v) const {
     return IValue::boxed_int(
         static_cast<std::uint32_t>(base_->boxed_count()) + it->second);
   }
-  if (auto hit = base_->find_string(v.as_string())) return *hit;
-  auto it = string_ids_.find(std::string_view(v.as_string()));
+  return find_string(v.as_string());
+}
+
+std::optional<IValue> SymbolOverlay::find_string(std::string_view s) const {
+  if (auto hit = base_->find_string(s)) return *hit;
+  auto it = string_ids_.find(s);
   if (it == string_ids_.end()) return std::nullopt;
   return IValue::symbol(static_cast<std::uint32_t>(base_->string_count()) +
                         it->second);

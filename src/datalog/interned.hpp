@@ -147,6 +147,7 @@ class SymbolOverlay {
   // Lookup without interning; nullopt means no fact or program constant
   // ever produced this value, so no tuple can contain it.
   std::optional<IValue> find(const Value& v) const;
+  std::optional<IValue> find_string(std::string_view s) const;
 
   const std::string& string_at(std::uint32_t id) const;
   // Decodes any integer-tagged IValue (inline or boxed).

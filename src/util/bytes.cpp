@@ -14,13 +14,16 @@ int hex_value(char c) {
 }  // namespace
 
 std::string to_hex(BytesView data) {
-  std::string out;
-  out.reserve(data.size() * 2);
-  for (std::uint8_t byte : data) {
-    out.push_back(kHexDigits[byte >> 4]);
-    out.push_back(kHexDigits[byte & 0x0f]);
-  }
+  std::string out(data.size() * 2, '\0');
+  to_hex_into(data, out.data());
   return out;
+}
+
+void to_hex_into(BytesView data, char* out) {
+  for (std::uint8_t byte : data) {
+    *out++ = kHexDigits[byte >> 4];
+    *out++ = kHexDigits[byte & 0x0f];
+  }
 }
 
 bool from_hex(std::string_view hex, Bytes& out) {

@@ -18,6 +18,8 @@ using BytesView = std::span<const std::uint8_t>;
 
 // Lowercase hex encoding, e.g. {0xde,0xad} -> "dead".
 std::string to_hex(BytesView data);
+// The same digits written to `out` (2 * data.size() chars), no allocation.
+void to_hex_into(BytesView data, char* out);
 
 // Parses lowercase/uppercase hex. Returns false on odd length or non-hex
 // characters; `out` is untouched on failure.

@@ -65,14 +65,18 @@ Result<KeyUsage> KeyUsage::decode(BytesView der) {
   return ku;
 }
 
-std::vector<std::string> KeyUsage::names() const {
-  static constexpr const char* kNames[] = {
+std::string_view KeyUsage::bit_name(int bit) {
+  static constexpr std::string_view kNames[kNamedBits] = {
       "digitalSignature", "nonRepudiation", "keyEncipherment",
       "dataEncipherment", "keyAgreement",   "keyCertSign",
       "cRLSign"};
+  return kNames[bit];
+}
+
+std::vector<std::string> KeyUsage::names() const {
   std::vector<std::string> out;
-  for (int i = 0; i < 7; ++i) {
-    if (bits & (1u << i)) out.emplace_back(kNames[i]);
+  for (int i = 0; i < kNamedBits; ++i) {
+    if (bits & (1u << i)) out.emplace_back(bit_name(i));
   }
   return out;
 }
@@ -118,15 +122,21 @@ Result<ExtendedKeyUsage> ExtendedKeyUsage::decode(BytesView der) {
   return eku;
 }
 
+std::string_view ExtendedKeyUsage::purpose_name(const asn1::Oid& p) {
+  if (p == oids::kp_server_auth()) return "id-kp-serverAuth";
+  if (p == oids::kp_client_auth()) return "id-kp-clientAuth";
+  if (p == oids::kp_code_signing()) return "id-kp-codeSigning";
+  if (p == oids::kp_email_protection()) return "id-kp-emailProtection";
+  if (p == oids::kp_ocsp_signing()) return "id-kp-OCSPSigning";
+  return {};
+}
+
 std::vector<std::string> ExtendedKeyUsage::names() const {
   std::vector<std::string> out;
   for (const auto& p : purposes) {
-    if (p == oids::kp_server_auth()) out.emplace_back("id-kp-serverAuth");
-    else if (p == oids::kp_client_auth()) out.emplace_back("id-kp-clientAuth");
-    else if (p == oids::kp_code_signing()) out.emplace_back("id-kp-codeSigning");
-    else if (p == oids::kp_email_protection()) out.emplace_back("id-kp-emailProtection");
-    else if (p == oids::kp_ocsp_signing()) out.emplace_back("id-kp-OCSPSigning");
-    else out.push_back(p.to_string());
+    const std::string_view name = purpose_name(p);
+    if (name.empty()) out.push_back(p.to_string());
+    else out.emplace_back(name);
   }
   return out;
 }

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "asn1/der.hpp"
@@ -57,6 +58,10 @@ struct KeyUsage {
 
   // Canonical names as used in Datalog facts ("digitalSignature", ...).
   std::vector<std::string> names() const;
+  // The named bits are positions 0..kNamedBits-1; bit_name(i) is the
+  // canonical name of position i.
+  static constexpr int kNamedBits = 7;
+  static std::string_view bit_name(int bit);
   static std::optional<KeyUsageBit> bit_by_name(std::string_view name);
 };
 
@@ -72,6 +77,8 @@ struct ExtendedKeyUsage {
   // Canonical names for Datalog facts ("id-kp-serverAuth", ...); unknown
   // purposes render as dotted OIDs.
   std::vector<std::string> names() const;
+  // The canonical name of a known purpose; empty for an unknown one.
+  static std::string_view purpose_name(const asn1::Oid& purpose);
 };
 
 // --- SubjectAltName (2.5.29.17) ---------------------------------------------

@@ -164,6 +164,25 @@ TEST(Compiled, SessionFactsFeedEvaluation) {
   EXPECT_FALSE(compiled.query_holds(session, "big", probe5));
 }
 
+TEST(Compiled, RelationIndexKeysOnPredicateAndArity) {
+  auto compiled = CompiledProgram::compile(
+      parse_program("p(1). p(1, 2). q(X) :- p(X), p(X, _).").take()).take();
+  const int p1 = compiled.relation_index("p", 1);
+  const int p2 = compiled.relation_index("p", 2);
+  ASSERT_GE(p1, 0);
+  ASSERT_GE(p2, 0);
+  EXPECT_NE(p1, p2);
+  EXPECT_EQ(compiled.relation_index("p", 3), -1);
+  EXPECT_EQ(compiled.relation_index("pp", 1), -1);
+  // The index is rebuilt on deserialization, not serialized.
+  Bytes bytes;
+  compiled.serialize(bytes);
+  auto restored = CompiledProgram::deserialize(bytes).take();
+  EXPECT_EQ(restored.relation_index("p", 1), p1);
+  EXPECT_EQ(restored.relation_index("p", 2), p2);
+  EXPECT_EQ(restored.relation_index("p", 3), -1);
+}
+
 TEST(Compiled, SessionIsReusableAcrossPrograms) {
   Session session;
   auto first = CompiledProgram::compile(
