@@ -65,12 +65,13 @@ struct VerifyService::Snapshot {
         executor(datalog::Strategy::kSemiNaive, registry),
         verifier(*view, scheme) {}
 
-  // Shared across threads read-only except via the gcc hook, whose only
-  // mutable state is the service's striped caches and atomics. Calls that
-  // carry chain-external context facts bypass the verdict cache entirely:
-  // the cache key covers only (epoch, usage, path), so a verdict
-  // that also depended on caller-supplied context would be unsound to
-  // memoize or to replay for a caller with different context.
+  // Shared across threads read-only except via the gcc hook and the link
+  // cache, whose only mutable state is the service's striped caches and
+  // atomics. Calls that carry chain-external context facts bypass the
+  // verdict cache entirely: the cache key covers only (epoch, usage,
+  // path), so a verdict that also depended on caller-supplied context
+  // would be unsound to memoize or to replay for a caller with different
+  // context.
   bool evaluate_gccs(VerifyService& service, const core::Chain& chain,
                      std::string_view usage, std::span<const core::Gcc> gccs,
                      const core::FactSet* context,
@@ -127,6 +128,11 @@ VerifyService::VerifyService(rootstore::RootStore& store,
       config_(config),
       verdict_cache_(config.verdict_capacity, config.shards),
       cert_cache_(config.cert_capacity, config.shards),
+      link_cache_(config.cert_capacity, config.shards,
+                  registry.counter("anchor_verify_cache_total",
+                                   {{"cache", "link"}, {"result", "hit"}}),
+                  registry.counter("anchor_verify_cache_total",
+                                   {{"cache", "link"}, {"result", "miss"}})),
       pool_(config.threads),
       registry_(registry),
       m_verdict_hit_(registry.counter("anchor_verify_cache_total",
@@ -154,7 +160,14 @@ VerifyService::VerifyService(rootstore::RootStore& store,
 
 VerifyService::~VerifyService() = default;
 
-void VerifyService::attach_hook(const std::shared_ptr<Snapshot>& snapshot) {
+std::shared_ptr<const VerifyService::Snapshot> VerifyService::build_snapshot(
+    std::shared_ptr<const rootstore::snapshot::StoreView> view,
+    std::uint64_t epoch) {
+  auto snapshot =
+      view != nullptr
+          ? std::make_shared<Snapshot>(std::move(view), epoch, scheme_,
+                                       registry_)
+          : std::make_shared<Snapshot>(store_, scheme_, registry_);
   const Snapshot* raw = snapshot.get();
   snapshot->verifier.set_gcc_hook(
       [this, raw](const core::Chain& chain, std::string_view usage,
@@ -162,11 +175,7 @@ void VerifyService::attach_hook(const std::shared_ptr<Snapshot>& snapshot) {
                   const core::FactSet* context, core::GccVerdict& verdict) {
         return raw->evaluate_gccs(*this, chain, usage, gccs, context, verdict);
       });
-}
-
-std::shared_ptr<const VerifyService::Snapshot> VerifyService::build_snapshot() {
-  auto snapshot = std::make_shared<Snapshot>(store_, scheme_, registry_);
-  attach_hook(snapshot);
+  snapshot->verifier.set_link_cache(&link_cache_);
   for (const auto& source : revocation_sources_) {
     snapshot->verifier.add_revocation_source(source);
   }
@@ -229,13 +238,7 @@ void VerifyService::adopt_view(
   // view was written at an epoch at or below the one being served.
   const std::uint64_t effective =
       std::max(view->epoch(), snapshot_->epoch + 1);
-  auto fresh =
-      std::make_shared<Snapshot>(std::move(view), effective, scheme_, registry_);
-  attach_hook(fresh);
-  for (const auto& source : revocation_sources_) {
-    fresh->verifier.add_revocation_source(source);
-  }
-  publish(std::move(fresh), std::move(lock));
+  publish(build_snapshot(std::move(view), effective), std::move(lock));
 }
 
 void VerifyService::add_revocation_source(
@@ -251,15 +254,7 @@ void VerifyService::add_revocation_source(
     // verdict cache would in fact stay sound — GCCs never see revocation —
     // but a non-aliasing epoch keeps the invariant simple: one published
     // snapshot, one epoch.)
-    auto view = snapshot_->view;
-    auto fresh =
-        std::make_shared<Snapshot>(std::move(view), prior + 1, scheme_,
-                                   registry_);
-    attach_hook(fresh);
-    for (const auto& source : revocation_sources_) {
-      fresh->verifier.add_revocation_source(source);
-    }
-    publish(std::move(fresh), std::move(lock));
+    publish(build_snapshot(snapshot_->view, prior + 1), std::move(lock));
     return;
   }
   store_.advance_epoch_past(prior);
@@ -462,7 +457,10 @@ ServiceStats VerifyService::stats() const {
   out.cert_hits = cert_cache_.hits();
   out.cert_misses = cert_cache_.misses();
   out.verdict_bypass = verdict_bypass_.load(std::memory_order_relaxed);
-  out.evictions = verdict_cache_.evictions() + cert_cache_.evictions();
+  out.link_hits = link_cache_.hits();
+  out.link_misses = link_cache_.misses();
+  out.evictions = verdict_cache_.evictions() + cert_cache_.evictions() +
+                  link_cache_.evictions();
   out.epoch_flushes = epoch_flushes_.load(std::memory_order_relaxed);
   out.stale_purged = stale_purged_.load(std::memory_order_relaxed);
   out.calls = calls_.load(std::memory_order_relaxed);

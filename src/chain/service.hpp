@@ -16,6 +16,11 @@
 //     sound (DESIGN.md, "Why verdict caching is sound");
 //   * a parsed-certificate cache keyed on the request DER bytes
 //     (chain/cert_cache.hpp), shared by the DER-boundary entry points;
+//   * a verified-signature link cache keyed on (child, issuer)
+//     fingerprints (chain/link_cache.hpp), shared by every snapshot's
+//     verifier and kept across mutations: the key names the signed bytes
+//     and the key, so no epoch is needed (DESIGN.md, "Why link caching is
+//     sound");
 //   * RCU-style store snapshots: verification runs against an immutable
 //     copy of the RootStore, so no lock is held during path construction
 //     or Datalog evaluation. Mutations flow through mutate(), which
@@ -38,6 +43,7 @@
 #include <vector>
 
 #include "chain/cert_cache.hpp"
+#include "chain/link_cache.hpp"
 #include "chain/verifier.hpp"
 #include "datalog/eval.hpp"
 #include "rootstore/snapshot/view.hpp"
@@ -50,7 +56,8 @@ namespace anchor::chain {
 struct ServiceConfig {
   std::size_t threads = 4;             // worker pool size
   std::size_t verdict_capacity = 8192; // GCC-verdict cache entries
-  std::size_t cert_capacity = 4096;    // parsed-certificate cache entries
+  std::size_t cert_capacity = 4096;    // parsed-certificate cache entries,
+                                       // and the link cache's bound
   std::size_t shards = 16;             // lock stripes per cache
 };
 
@@ -60,7 +67,9 @@ struct ServiceStats {
   std::uint64_t verdict_misses = 0;
   std::uint64_t cert_hits = 0;
   std::uint64_t cert_misses = 0;
-  std::uint64_t evictions = 0;       // both caches, all shards
+  std::uint64_t link_hits = 0;       // signature checks the link cache skipped
+  std::uint64_t link_misses = 0;
+  std::uint64_t evictions = 0;       // all three caches, all shards
   std::uint64_t verdict_bypass = 0;  // context-carrying verifies (uncacheable)
   std::uint64_t epoch_flushes = 0;   // snapshots published after a mutation
   std::uint64_t stale_purged = 0;    // verdict entries dropped by flushes
@@ -209,8 +218,13 @@ class VerifyService {
   };
 
   std::shared_ptr<const Snapshot> current_snapshot() const;
-  std::shared_ptr<const Snapshot> build_snapshot();
-  void attach_hook(const std::shared_ptr<Snapshot>& snapshot);
+  // Builds the next snapshot to publish: a copy of the live store, or
+  // `view` served at `epoch`. Every per-snapshot attachment (GCC hook,
+  // link cache, revocation sources) is made here and only here, so no
+  // publication path can miss one. Caller holds store_mu_.
+  std::shared_ptr<const Snapshot> build_snapshot(
+      std::shared_ptr<const rootstore::snapshot::StoreView> view = nullptr,
+      std::uint64_t epoch = 0);
   // Publishes `fresh` (the caller passes in its store_mu_ lock, released
   // here) and flushes verdict-cache entries from prior epochs.
   void publish(std::shared_ptr<const Snapshot> fresh,
@@ -240,6 +254,8 @@ class VerifyService {
 
   ShardedLruCache<VerdictKey, CachedVerdict, VerdictKeyHash> verdict_cache_;
   CertCache<> cert_cache_;
+  // Declared before pool_, so it outlives the workers that read it.
+  LinkCache link_cache_;
   ThreadPool pool_;
 
   // Counters are plain atomics: hot-path increments, no locks.

@@ -137,10 +137,7 @@ std::optional<Fault> ChainVerifier::check_link(
                        "' pathLenConstraint exceeded");
     }
   }
-  if (options.check_signatures &&
-      !scheme_.verify(BytesView(issuer.public_key()),
-                      BytesView(child.tbs_der()),
-                      BytesView(child.signature()))) {
+  if (options.check_signatures && !signature_verifies(child, issuer)) {
     return fault(ErrorKind::kBadSignature,
                  "signature of '" + child.subject().common_name() +
                      "' does not verify under '" +
@@ -158,6 +155,23 @@ std::optional<Fault> ChainVerifier::check_link(
     }
   }
   return std::nullopt;
+}
+
+bool ChainVerifier::signature_verifies(const x509::Certificate& child,
+                                       const x509::Certificate& issuer) const {
+  if (link_cache_ != nullptr &&
+      link_cache_->contains(child.fingerprint(), issuer.fingerprint())) {
+    return true;
+  }
+  if (!scheme_.verify(BytesView(issuer.public_key()),
+                      BytesView(child.tbs_der()),
+                      BytesView(child.signature()))) {
+    return false;  // never cached: a scheme that gains the key may accept
+  }
+  if (link_cache_ != nullptr) {
+    link_cache_->insert(child.fingerprint(), issuer.fingerprint());
+  }
+  return true;
 }
 
 std::optional<Fault> ChainVerifier::check_at_root(

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "chain/error.hpp"
+#include "chain/link_cache.hpp"
 #include "chain/pool.hpp"
 #include "core/executor.hpp"
 #include "revocation/provider.hpp"
@@ -125,6 +126,13 @@ class ChainVerifier {
     if (p != nullptr) revocation_.push_back(std::move(p));
   }
 
+  // Shares `cache` (owned by the caller, outliving the verifier) for
+  // signature checks: a link it holds skips only the signature math, and a
+  // link whose signature passes is added. Every other link check still
+  // runs, and with check_signatures off the cache is neither read nor
+  // filled. A verifier without one checks every signature.
+  void set_link_cache(LinkCache* cache) { link_cache_ = cache; }
+
   VerifyResult verify(const x509::CertPtr& leaf, const CertificatePool& pool,
                       const VerifyOptions& options) const;
 
@@ -150,6 +158,10 @@ class ChainVerifier {
                                   std::size_t child_depth,
                                   const VerifyOptions& options) const;
 
+  // The signature of `child` under `issuer`, through the link cache.
+  bool signature_verifies(const x509::Certificate& child,
+                          const x509::Certificate& issuer) const;
+
   // Root-dependent checks: store metadata, then GCCs.
   std::optional<Fault> check_at_root(const core::Chain& chain,
                                      const rootstore::RootEntry& root_entry,
@@ -160,6 +172,7 @@ class ChainVerifier {
   const SignatureScheme& scheme_;
   core::GccExecutor executor_;
   GccHook gcc_hook_;
+  LinkCache* link_cache_ = nullptr;
   std::vector<std::shared_ptr<const revocation::Provider>> revocation_;
 };
 

@@ -6,7 +6,9 @@
 // run against the store at the epoch the call observed. Worker threads
 // hammer verify() on a mixed corpus while a mutator applies RSF-style
 // deltas (distrust, forget/re-trust, GCC attach/detach) through mutate();
-// afterwards every recorded call is replayed cold and compared.
+// afterwards every recorded call is replayed cold and compared. Every
+// verdict's signature checks go through the service-wide link cache, sized
+// below the corpus' link count so entries are replaced while read.
 #include "chain/service.hpp"
 
 #include <gtest/gtest.h>
@@ -165,10 +167,23 @@ std::vector<std::string> chain_hashes(const VerifyResult& result) {
 
 TEST(VerifyService, StressConcurrentVerifyWithMutations) {
   ServicePki pki;
+  // A leaf whose signature was tampered with: its link must fail on every
+  // call, however often its siblings' links hit.
+  {
+    Bytes der = pki.leaves[0]->der();
+    der.back() ^= 0x01;
+    auto tampered = x509::Certificate::parse(BytesView(der));
+    ASSERT_TRUE(tampered.ok()) << tampered.error();
+    pki.leaves.push_back(tampered.value());
+    pki.domains.push_back(pki.domains[0]);
+  }
   ServiceConfig config;
   config.threads = 4;
   config.verdict_capacity = 512;
-  config.cert_capacity = 256;
+  // Also the link cache's bound: 16 entries over 4 shards against ~30
+  // distinct verifiable links.
+  config.cert_capacity = 16;
+  config.shards = 4;
   VerifyService service(pki.store, pki.sigs, config);
 
   // Every store content the service can publish, keyed by epoch. The
@@ -273,6 +288,11 @@ TEST(VerifyService, StressConcurrentVerifyWithMutations) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.epoch_flushes, static_cast<std::uint64_t>(kMutations));
   EXPECT_GE(stats.calls, checked);
+  // The replayed verdicts really came through the link cache, while it
+  // was replacing entries.
+  EXPECT_GT(stats.link_hits, 0u);
+  EXPECT_GT(stats.link_misses, 0u);
+  EXPECT_GT(stats.evictions, 0u);
 }
 
 TEST(VerifyService, BatchMatchesSequentialVerification) {

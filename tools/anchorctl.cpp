@@ -532,7 +532,7 @@ int cmd_verify(int argc, char** argv) {
 }
 
 // Runs the chain through a VerifyService --repeat times (async, so the
-// worker pool and both caches are exercised) and prints the Stats
+// worker pool and the caches are exercised) and prints the Stats
 // snapshot. The second and later repeats should be verdict-cache hits;
 // a hit rate far below (repeat-1)/repeat means the cache is misbehaving.
 int cmd_serve_stats(int argc, char** argv) {
@@ -584,21 +584,26 @@ int cmd_serve_stats(int argc, char** argv) {
   }
 
   const chain::ServiceStats stats = service.stats();
-  const double lookups =
-      static_cast<double>(stats.verdict_hits + stats.verdict_misses);
   std::printf("verdict        : %s%s%s\n", ok ? "VALID" : "INVALID",
               ok ? "" : " — ", ok ? "" : error.c_str());
   std::printf("calls          : %llu (repeat=%lu, threads=%zu)\n",
               static_cast<unsigned long long>(stats.calls), repeat,
               config.threads);
-  std::printf("verdict cache  : %llu hits / %llu misses (hit rate %.3f)\n",
-              static_cast<unsigned long long>(stats.verdict_hits),
-              static_cast<unsigned long long>(stats.verdict_misses),
-              lookups > 0 ? static_cast<double>(stats.verdict_hits) / lookups
-                          : 0.0);
-  std::printf("cert cache     : %llu hits / %llu misses\n",
-              static_cast<unsigned long long>(stats.cert_hits),
-              static_cast<unsigned long long>(stats.cert_misses));
+  const auto print_cache = [](const char* label, std::uint64_t hits,
+                              std::uint64_t misses) {
+    const std::uint64_t lookups = hits + misses;
+    std::printf("%-15s: %llu hits / %llu misses (hit rate %.3f)\n", label,
+                static_cast<unsigned long long>(hits),
+                static_cast<unsigned long long>(misses),
+                lookups > 0 ? static_cast<double>(hits) /
+                                  static_cast<double>(lookups)
+                            : 0.0);
+  };
+  print_cache("verdict cache", stats.verdict_hits, stats.verdict_misses);
+  print_cache("cert cache", stats.cert_hits, stats.cert_misses);
+  // Zero here: serve-stats runs with signature checks off, since PEM
+  // inputs carry no SimSig secrets.
+  print_cache("link cache", stats.link_hits, stats.link_misses);
   std::printf("evictions      : %llu\n",
               static_cast<unsigned long long>(stats.evictions));
   std::printf("epoch flushes  : %llu (stale purged %llu)\n",
