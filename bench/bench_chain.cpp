@@ -8,6 +8,10 @@
 //   redesign     — the daemon performs complete validation (Hammurabi
 //                  model): one IPC round trip for everything.
 //
+// Both daemon options run on the one serving path: an AnchordServer over a
+// VerifyService, reached through an AnchordClient over an in-memory
+// conduit. A spin before and after each call stands in for the kernel legs.
+//
 // Baseline: plain validation with no GCCs, to isolate the GCC tax.
 //
 // The service-mode runs measure the shared VerifyService (the paper's
@@ -24,12 +28,14 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
-#include <map>
-#include <mutex>
+#include <future>
 #include <new>
+#include <thread>
 
-#include "anchord/daemon.hpp"
+#include "anchord/client.hpp"
+#include "anchord/server.hpp"
 #include "chain/service.hpp"
 #include "corpus/corpus.hpp"
 #include "incidents/listings.hpp"
@@ -39,24 +45,31 @@
 // Allocation probe for the SteadyAllocs benchmarks: every operator new in
 // the process bumps one relaxed counter. Deltas are read around
 // single-threaded measurement loops, so cross-benchmark noise is nil.
+// Kept out of line: once GCC inlines both halves at a call site it reads
+// malloc paired with operator delete (or operator new with free) and
+// warns -Wmismatched-new-delete.
 std::atomic<std::uint64_t> g_alloc_calls{0};
 
-void* operator new(std::size_t size) {
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -150,27 +163,103 @@ void BM_Validate_UserAgentGcc(benchmark::State& state) {
 }
 BENCHMARK(BM_Validate_UserAgentGcc);
 
-// Platform daemon: the verifier delegates GCC execution across a simulated
-// IPC boundary. Latency per leg swept: 0 (colocated), 50us (UNIX socket),
-// 500us (loaded system).
+// One side of a simulated kernel round trip: a spin, which adds no
+// descheduling noise to the E9 sweep the way a sleep would.
+void ipc_leg(std::uint64_t ipc_ns) {
+  const auto start = std::chrono::steady_clock::now();
+  while (std::chrono::steady_clock::now() - start <
+         std::chrono::nanoseconds(ipc_ns)) {
+  }
+}
+
+// What an anchord daemon over `service` serves from, as bench_anchord's
+// run_throughput wires it.
+anchord::VerbDispatcher::Backends daemon_backends(
+    chain::VerifyService& service, metrics::Registry& registry) {
+  anchord::VerbDispatcher::Backends backends;
+  backends.service = &service;
+  backends.store = &fixture().store_gcc;
+  backends.registry = &registry;
+  return backends;
+}
+
+// One connection to a daemon: its serve() thread on the far end of an
+// in-memory conduit, the client on the near end. AnchordClient is not
+// thread-safe, so every benchmark thread opens its own session.
+class DaemonSession {
+ public:
+  explicit DaemonSession(anchord::AnchordServer& server)
+      : conduits_(open_conduits()),
+        serve_thread_([&server, this] { server.serve(*conduits_.second); }),
+        client_(*conduits_.first) {}
+
+  ~DaemonSession() {
+    conduits_.first->close();
+    serve_thread_.join();
+  }
+
+  DaemonSession(const DaemonSession&) = delete;
+  DaemonSession& operator=(const DaemonSession&) = delete;
+
+  // One request across the simulated IPC boundary.
+  anchord::Response call(anchord::Request request, std::uint64_t ipc_ns) {
+    ipc_leg(ipc_ns);  // request leg
+    auto response = client_.call(std::move(request));
+    ipc_leg(ipc_ns);  // response leg
+    if (!response.ok()) {
+      fprintf(stderr, "E9: anchord call failed: %s\n",
+              response.error().c_str());
+      std::abort();
+    }
+    return std::move(response).take();
+  }
+
+ private:
+  static anchord::ConduitPair open_conduits() {
+    auto pair = anchord::make_memory_conduit();
+    if (!pair.ok()) {
+      fprintf(stderr, "E9: conduit: %s\n", pair.error().c_str());
+      std::abort();
+    }
+    return std::move(pair).take();
+  }
+
+  anchord::ConduitPair conduits_;
+  std::thread serve_thread_;
+  anchord::AnchordClient client_;
+};
+
+// Option 2: the verifier builds the chain, then asks the daemon's
+// evaluate-gccs verb for the GCC verdict.
+chain::GccHook daemon_gcc_hook(DaemonSession& session, std::uint64_t ipc_ns) {
+  return [&session, ipc_ns](const core::Chain& chain, std::string_view usage,
+                            std::span<const core::Gcc>, const core::FactSet*,
+                            core::GccVerdict&) {
+    anchord::Request request;
+    request.verb = anchord::Verb::kEvaluateGccs;
+    request.usage = std::string(usage);
+    request.leaf_der = chain.front()->der();
+    for (std::size_t i = 1; i < chain.size(); ++i) {
+      request.intermediates_der.push_back(chain[i]->der());
+    }
+    return session.call(std::move(request), ipc_ns).ok;
+  };
+}
+
+// Platform daemon: the verifier delegates GCC execution to a daemon of
+// its own across a simulated IPC boundary. Latency per leg swept: 0
+// (colocated), 50us (UNIX socket), 500us (loaded system).
 void BM_Validate_PlatformDaemon(benchmark::State& state) {
-  const Fixture& f = fixture();
-  const auto latency_ns = static_cast<std::uint64_t>(state.range(0));
-  anchord::TrustDaemon daemon(anchord::TrustDaemonConfig{
-      .store = &f.store_gcc,
-      .scheme = &f.corpus.signatures(),
-      .latency_ns = latency_ns});
+  Fixture& f = fixture();
+  const auto ipc_ns = static_cast<std::uint64_t>(state.range(0));
+  metrics::Registry registry;
+  chain::VerifyService service(f.store_gcc, f.corpus.signatures(), {},
+                               registry);
+  anchord::AnchordServer daemon(daemon_backends(service, registry), {},
+                                registry);
+  DaemonSession session(daemon);
   chain::ChainVerifier verifier(f.store_gcc, f.corpus.signatures());
-  verifier.set_gcc_hook([&daemon](const core::Chain& chain,
-                                  std::string_view usage,
-                                  std::span<const core::Gcc>,
-                                  const core::FactSet*,
-                                  core::GccVerdict&) {
-    std::vector<Bytes> der;
-    der.reserve(chain.size());
-    for (const auto& cert : chain) der.push_back(cert->der());
-    return daemon.evaluate_gccs(der, usage);
-  });
+  verifier.set_gcc_hook(daemon_gcc_hook(session, ipc_ns));
   std::size_t i = 0;
   for (auto _ : state) {
     std::size_t leaf = f.leaf_indices[i % f.leaf_indices.size()];
@@ -206,6 +295,14 @@ chain::VerifyService& shared_service() {
   return *service;
 }
 
+// The daemon in front of shared_service(); leaked likewise, since a
+// server outlives every serve() call on it.
+anchord::AnchordServer& shared_daemon() {
+  static anchord::AnchordServer* server = new anchord::AnchordServer(
+      daemon_backends(shared_service(), metrics::Registry::global()));
+  return *server;
+}
+
 // Concurrency sweep: N benchmark threads call the shared service
 // synchronously on the warm-cache workload. Throughput (items/s, real
 // time) at Threads(8) vs BM_Validate_UserAgentGcc is the E9 service-mode
@@ -238,60 +335,39 @@ BENCHMARK(BM_Validate_ServiceWarm)
     ->Threads(8)
     ->UseRealTime();
 
-// Batch front end: one caller hands the whole workload to the service,
-// which fans it across its own worker pool.
+// Batch front end: one caller submits the whole workload to the service,
+// which fans it across its own worker pool, then gathers every future.
 void BM_Validate_ServiceBatch(benchmark::State& state) {
   Fixture& f = fixture();
   chain::VerifyService& service = shared_service();
-  std::vector<x509::CertPtr> batch;
-  batch.reserve(f.leaf_indices.size());
-  for (std::size_t leaf : f.leaf_indices) {
-    batch.push_back(f.corpus.leaves()[leaf].cert);
-  }
+  // Non-owning alias of the fixture's pool, which outlives every task.
+  std::shared_ptr<const chain::CertificatePool> pool(
+      std::shared_ptr<const chain::CertificatePool>{}, &f.pool);
   chain::VerifyOptions options;
   options.time = f.now;
+  std::vector<std::future<chain::VerifyResult>> pending;
+  pending.reserve(f.leaf_indices.size());
   for (auto _ : state) {
-    auto results = service.verify_batch(batch, f.pool, options);
-    benchmark::DoNotOptimize(results);
+    for (std::size_t leaf : f.leaf_indices) {
+      pending.push_back(
+          service.submit(f.corpus.leaves()[leaf].cert, pool, options));
+    }
+    for (auto& future : pending) benchmark::DoNotOptimize(future.get());
+    pending.clear();
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(batch.size()));
+                          static_cast<std::int64_t>(f.leaf_indices.size()));
 }
 BENCHMARK(BM_Validate_ServiceBatch)->UseRealTime();
 
-// Concurrency x IPC latency: the platform daemon routes GCC execution
-// through the shared service while N user agents validate in parallel.
+// Concurrency x IPC latency: N user agents validate in parallel, each
+// over its own session to the shared daemon, which runs their GCCs.
 void BM_Validate_PlatformDaemonService(benchmark::State& state) {
   Fixture& f = fixture();
-  const auto latency_ns = static_cast<std::uint64_t>(state.range(0));
-  // One shared daemon per latency point, never deleted (threads from a
-  // previous measurement may still hold the pointer briefly).
-  static std::map<std::uint64_t, anchord::TrustDaemon*> daemons;
-  static std::mutex daemon_mu;
-  anchord::TrustDaemon* daemon;
-  {
-    std::lock_guard<std::mutex> lock(daemon_mu);
-    anchord::TrustDaemon*& slot = daemons[latency_ns];
-    if (slot == nullptr) {
-      slot = new anchord::TrustDaemon(anchord::TrustDaemonConfig{
-          .store = &f.store_gcc,
-          .scheme = &f.corpus.signatures(),
-          .latency_ns = latency_ns,
-          .service = &shared_service()});
-    }
-    daemon = slot;
-  }
+  const auto ipc_ns = static_cast<std::uint64_t>(state.range(0));
+  DaemonSession session(shared_daemon());
   chain::ChainVerifier verifier(f.store_gcc, f.corpus.signatures());
-  verifier.set_gcc_hook([daemon](const core::Chain& chain,
-                                 std::string_view usage,
-                                 std::span<const core::Gcc>,
-                                 const core::FactSet*,
-                                 core::GccVerdict&) {
-    std::vector<Bytes> der;
-    der.reserve(chain.size());
-    for (const auto& cert : chain) der.push_back(cert->der());
-    return daemon->evaluate_gccs(der, usage);
-  });
+  verifier.set_gcc_hook(daemon_gcc_hook(session, ipc_ns));
   std::size_t i = static_cast<std::size_t>(state.thread_index());
   for (auto _ : state) {
     std::size_t leaf = f.leaf_indices[i % f.leaf_indices.size()];
@@ -309,14 +385,16 @@ BENCHMARK(BM_Validate_PlatformDaemonService)
     ->Threads(8)
     ->UseRealTime();
 
-// Complete redesign: full validation inside the daemon.
+// Complete redesign: the daemon's verify verb does the whole validation.
 void BM_Validate_DaemonRedesign(benchmark::State& state) {
-  const Fixture& f = fixture();
-  const auto latency_ns = static_cast<std::uint64_t>(state.range(0));
-  anchord::TrustDaemon daemon(anchord::TrustDaemonConfig{
-      .store = &f.store_gcc,
-      .scheme = &f.corpus.signatures(),
-      .latency_ns = latency_ns});
+  Fixture& f = fixture();
+  const auto ipc_ns = static_cast<std::uint64_t>(state.range(0));
+  metrics::Registry registry;
+  chain::VerifyService service(f.store_gcc, f.corpus.signatures(), {},
+                               registry);
+  anchord::AnchordServer daemon(daemon_backends(service, registry), {},
+                                registry);
+  DaemonSession session(daemon);
   std::size_t i = 0;
   for (auto _ : state) {
     std::size_t leaf = f.leaf_indices[i % f.leaf_indices.size()];
@@ -324,10 +402,15 @@ void BM_Validate_DaemonRedesign(benchmark::State& state) {
     const auto& intermediate =
         f.corpus.intermediates()[static_cast<std::size_t>(
             record.issuer_intermediate)];
-    std::vector<Bytes> intermediates{intermediate.cert->der()};
-    auto result = daemon.validate(record.cert->der(), intermediates,
-                                  f.options_for(leaf));
-    benchmark::DoNotOptimize(result);
+    anchord::Request request;
+    request.verb = anchord::Verb::kVerify;
+    request.usage = chain::usage_name(chain::Usage::kTls);
+    request.time = f.now;
+    request.hostname = record.domain;
+    request.leaf_der = record.cert->der();
+    request.intermediates_der = {intermediate.cert->der()};
+    auto response = session.call(std::move(request), ipc_ns);
+    benchmark::DoNotOptimize(response);
     ++i;
   }
 }

@@ -24,7 +24,7 @@ Response fail(const Request& request, chain::ErrorKind kind,
 }
 
 // Maps the request's usage token onto VerifyOptions, or returns false for
-// a token neither verify verb accepts.
+// a token no verb accepts.
 bool parse_usage(const Request& request, chain::VerifyOptions& options) {
   if (request.usage == chain::usage_name(chain::Usage::kTls)) {
     options.usage = chain::Usage::kTls;
@@ -58,21 +58,18 @@ VerbDispatcher::VerbDispatcher(Backends backends)
   }
 }
 
-Response VerbDispatcher::dispatch(const Request& request,
-                                  metrics::Registry* registry_override) {
+Response VerbDispatcher::dispatch(const Request& request) {
   switch (request.verb) {
     case Verb::kVerify:
       return do_verify(request);
     case Verb::kEvaluateGccs:
       return do_evaluate_gccs(request);
     case Verb::kMetrics:
-      return do_metrics(request, registry_override != nullptr
-                                     ? *registry_override
-                                     : *backends_.registry);
+      return do_metrics(request);
     case Verb::kFeedStatus:
       return do_feed_status(request);
     case Verb::kVerifyBatch:
-      return do_verify_batch(request);
+      return do_batch(request);
     case Verb::kFeedFetch:
       return do_feed_fetch(request);
   }
@@ -130,7 +127,7 @@ Response VerbDispatcher::verify_response(
   return response;
 }
 
-Response VerbDispatcher::do_verify_batch(const Request& request) {
+Response VerbDispatcher::do_batch(const Request& request) {
   if (request.batch.empty()) {
     return fail(request, chain::ErrorKind::kMalformedRequest,
                 "verify-batch: empty batch");
@@ -182,40 +179,41 @@ Response VerbDispatcher::do_verify_batch(const Request& request) {
 }
 
 Response VerbDispatcher::do_evaluate_gccs(const Request& request) {
-  // The wire carries the caller-built chain as leaf + intermediates; the
-  // service wants one leaf-first span.
   if (request.leaf_der.empty()) {
     return fail(request, chain::ErrorKind::kMalformedRequest,
                 "evaluate-gccs: empty leaf certificate");
   }
-  std::vector<Bytes> chain_der;
-  chain_der.reserve(1 + request.intermediates_der.size());
-  chain_der.push_back(request.leaf_der);
-  for (const Bytes& der : request.intermediates_der) {
-    chain_der.push_back(der);
+  // GCCs only ever see usage_name() values on the verify path, so the
+  // same tokens are the only ones accepted here.
+  chain::VerifyOptions options;
+  if (!parse_usage(request, options)) {
+    return fail(request, chain::ErrorKind::kMalformedRequest,
+                "evaluate-gccs: unknown usage '" + request.usage + "'");
   }
   chain::VerifyService::GccsOutcome outcome =
-      backends_.service->evaluate_gccs_detail(chain_der, request.usage);
+      backends_.service->evaluate_gccs(request.leaf_der,
+                                       request.intermediates_der,
+                                       request.usage);
 
   Response response = base_response(request);
   response.ok = outcome.allowed;
   response.kind = outcome.kind;
   response.detail = outcome.detail;
-  response.stats.chain_len = static_cast<std::uint32_t>(chain_der.size());
+  response.stats.chain_len =
+      static_cast<std::uint32_t>(1 + request.intermediates_der.size());
   response.stats.gccs_evaluated = outcome.verdict.gccs_evaluated;
   response.stats.facts_encoded = outcome.verdict.facts_encoded;
   response.stats.epoch = backends_.service->epoch();
   return response;
 }
 
-Response VerbDispatcher::do_metrics(const Request& request,
-                                    metrics::Registry& registry) {
+Response VerbDispatcher::do_metrics(const Request& request) {
   if (backends_.store != nullptr) {
-    rootstore::export_store_metrics(*backends_.store, registry);
+    rootstore::export_store_metrics(*backends_.store, *backends_.registry);
   }
   Response response = base_response(request);
   response.ok = true;
-  response.detail = registry.expose();
+  response.detail = backends_.registry->expose();
   response.stats.epoch = backends_.service->epoch();
   return response;
 }

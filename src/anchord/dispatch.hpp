@@ -1,9 +1,9 @@
 // Verb execution for anchord. One dispatcher instance is the single
 // place where a decoded wire Request turns into backend calls — the
-// session server, the in-process TrustDaemon adapter, and anchorctl's
-// client verbs all converge here, which is what makes "byte-identical
-// verdicts between the wire path and the direct VerifyService path" a
-// testable property instead of an aspiration.
+// session server and anchorctl's client verbs both converge here, which
+// is what makes "byte-identical verdicts between the wire path and the
+// direct VerifyService path" a testable property instead of an
+// aspiration.
 #pragma once
 
 #include <optional>
@@ -37,10 +37,8 @@ class VerbDispatcher {
   // Executes one request and always produces a response (errors are
   // classified into ErrorKind, never thrown). Thread-safe: the backends
   // are (VerifyService serves concurrent callers; the registry locks
-  // registration). `registry_override` lets TrustDaemon::metrics keep its
-  // per-call registry parameter; everything else uses the backend one.
-  Response dispatch(const Request& request,
-                    metrics::Registry* registry_override = nullptr);
+  // registration).
+  Response dispatch(const Request& request);
 
   // The dispatch() response for a well-formed kVerify request whose
   // certificates are all in the service's parsed-certificate cache, without
@@ -53,9 +51,9 @@ class VerbDispatcher {
   Response do_verify(const Request& request);
   Response verify_response(const Request& request,
                            const chain::VerifyResult& result) const;
-  Response do_verify_batch(const Request& request);
+  Response do_batch(const Request& request);
   Response do_evaluate_gccs(const Request& request);
-  Response do_metrics(const Request& request, metrics::Registry& registry);
+  Response do_metrics(const Request& request);
   Response do_feed_status(const Request& request);
   Response do_feed_fetch(const Request& request);
 

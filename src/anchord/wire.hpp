@@ -66,8 +66,8 @@ struct BatchEntry {
 struct Request {
   std::uint64_t correlation_id = 0;
   Verb verb = Verb::kVerify;
-  // "TLS" / "S/MIME" for kVerify; free-form usage token for kEvaluateGccs
-  // (it flows into Datalog facts); ignored by the observability verbs.
+  // "TLS" / "S/MIME" for kVerify, kVerifyBatch and kEvaluateGccs (any
+  // other token is kMalformedRequest); ignored by the observability verbs.
   std::string usage;
   std::int64_t time = 0;           // validation instant (Unix seconds)
   std::uint32_t max_depth = 8;

@@ -1,11 +1,11 @@
 // Unified error taxonomy for every verification surface (DESIGN.md
 // "anchord wire protocol & unified verb schema"). Before this enum the
-// library reported failures three different ways: ChainVerifier returned
-// free-form strings (compared by substring in tests), TrustDaemon returned
-// a bare Boolean, and the wire layer had nothing. Every verdict-producing
-// path — VerifyResult, the anchord VerifyResponse, anchorctl exit codes —
-// now carries one ErrorKind; the human-readable detail string survives as
-// a diagnostic, never as the thing a caller branches on.
+// library reported failures as free-form strings (compared by substring
+// in tests), as bare Booleans, or, on the wire, not at all. Every
+// verdict-producing path — VerifyResult, the anchord VerifyResponse,
+// anchorctl exit codes — now carries one ErrorKind; the human-readable
+// detail string survives as a diagnostic, never as the thing a caller
+// branches on.
 #pragma once
 
 #include <cstdint>

@@ -295,24 +295,6 @@ std::future<VerifyResult> VerifyService::submit(
   return future;
 }
 
-std::vector<VerifyResult> VerifyService::verify_batch(
-    std::span<const x509::CertPtr> leaves, const CertificatePool& pool,
-    const VerifyOptions& options) {
-  // Non-owning alias: safe because every future is joined before return,
-  // so no task outlives the caller's `pool` reference.
-  std::shared_ptr<const CertificatePool> alias(
-      std::shared_ptr<const CertificatePool>{}, &pool);
-  std::vector<std::future<VerifyResult>> futures;
-  futures.reserve(leaves.size());
-  for (const x509::CertPtr& leaf : leaves) {
-    futures.push_back(submit(leaf, alias, options));
-  }
-  std::vector<VerifyResult> results;
-  results.reserve(leaves.size());
-  for (auto& future : futures) results.push_back(future.get());
-  return results;
-}
-
 Result<x509::CertPtr> VerifyService::parse_cached(BytesView der) {
   if (x509::CertPtr cached = cert_cache_.find(der)) {
     m_cert_hit_.add();
@@ -324,13 +306,9 @@ Result<x509::CertPtr> VerifyService::parse_cached(BytesView der) {
   return parsed;
 }
 
-bool VerifyService::evaluate_gccs(std::span<const Bytes> chain_der,
-                                  std::string_view usage) {
-  return evaluate_gccs_detail(chain_der, usage).allowed;
-}
-
-VerifyService::GccsOutcome VerifyService::evaluate_gccs_detail(
-    std::span<const Bytes> chain_der, std::string_view usage) {
+VerifyService::GccsOutcome VerifyService::evaluate_gccs(
+    const Bytes& leaf_der, std::span<const Bytes> intermediates_der,
+    std::string_view usage) {
   const std::uint64_t start = now_ns();
   std::shared_ptr<const Snapshot> snapshot = current_snapshot();
   GccsOutcome outcome;
@@ -343,20 +321,20 @@ VerifyService::GccsOutcome VerifyService::evaluate_gccs_detail(
     return out;
   };
   core::Chain chain;
-  chain.reserve(chain_der.size());
-  for (const Bytes& der : chain_der) {
+  chain.reserve(1 + intermediates_der.size());
+  const auto push = [&](const Bytes& der) {
     auto cert = parse_cached(BytesView(der));
     if (!cert) {  // malformed input across IPC: reject
       outcome.kind = ErrorKind::kMalformedRequest;
       outcome.detail = cert.error();
-      return finish(std::move(outcome));
+      return false;
     }
     chain.push_back(std::move(cert).take());
-  }
-  if (chain.empty()) {
-    outcome.kind = ErrorKind::kMalformedRequest;
-    outcome.detail = "empty certificate chain";
-    return finish(std::move(outcome));
+    return true;
+  };
+  if (!push(leaf_der)) return finish(std::move(outcome));
+  for (const Bytes& der : intermediates_der) {
+    if (!push(der)) return finish(std::move(outcome));
   }
   outcome.allowed = true;
   const auto gccs =

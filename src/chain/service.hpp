@@ -112,26 +112,22 @@ class VerifyService {
                                    std::shared_ptr<const CertificatePool> pool,
                                    VerifyOptions options);
 
-  // Fans a batch across the pool and gathers results in input order.
-  std::vector<VerifyResult> verify_batch(
-      std::span<const x509::CertPtr> leaves, const CertificatePool& pool,
-      const VerifyOptions& options);
-
   // DER-boundary entry points mirroring the anchord IPC surface (§3.1
   // options 2 and 3); both run through the parsed-certificate cache.
-  bool evaluate_gccs(std::span<const Bytes> chain_der, std::string_view usage);
-
-  // Classified form of evaluate_gccs: the wire layer needs to distinguish
+  //
+  // evaluate_gccs runs the GCCs attached to the root of a caller-built
+  // chain (leaf, then intermediates up to the root). The outcome tells
   // "malformed DER" (kMalformedRequest) from "a GCC denied" (kGccDenied,
-  // detail = the failing constraint's name) — the bare Boolean cannot.
+  // detail = "gcc:" + the failing constraint's name).
   struct GccsOutcome {
     bool allowed = false;
     ErrorKind kind = ErrorKind::kOk;
     std::string detail;
     core::GccVerdict verdict;
   };
-  GccsOutcome evaluate_gccs_detail(std::span<const Bytes> chain_der,
-                                   std::string_view usage);
+  GccsOutcome evaluate_gccs(const Bytes& leaf_der,
+                            std::span<const Bytes> intermediates_der,
+                            std::string_view usage);
 
   VerifyResult validate(const Bytes& leaf_der,
                         std::span<const Bytes> intermediates_der,

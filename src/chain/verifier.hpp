@@ -97,7 +97,7 @@ struct VerifyResult {
 
 // Hook interface for GCC execution placement (user-agent vs platform
 // daemon, §3.1). The default executes in-process; bench E9 swaps in a
-// simulated-IPC hook.
+// hook that asks an anchord server's evaluate-gccs verb.
 using GccHook = std::function<bool(const core::Chain& chain,
                                    std::string_view usage,
                                    std::span<const core::Gcc> gccs,

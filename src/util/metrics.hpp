@@ -17,7 +17,7 @@
 //     allocation, no rebinning, O(log buckets) per observe;
 //   * series are named + labeled (`anchor_rsf_polls_total{feed="nss",
 //     outcome="success"}`), exposed in a Prometheus-style text format that
-//     both `anchorctl metrics` and the TrustDaemon `metrics` verb emit;
+//     both `anchorctl metrics` and the anchord `metrics` verb emit;
 //   * snapshot()/delta let benches report *the same counters operators
 //     would scrape* instead of bench-private accounting (EXPERIMENTS.md).
 //
@@ -166,7 +166,7 @@ class Registry {
                        std::span<const double> bounds = {});
 
   // Prometheus-style text exposition, families sorted by name with one
-  // `# TYPE` line each. What `anchorctl metrics` and the TrustDaemon
+  // `# TYPE` line each. What `anchorctl metrics` and the anchord
   // `metrics` verb print.
   std::string expose() const;
 

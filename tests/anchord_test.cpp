@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "anchord/client.hpp"
+#include "core/gcc.hpp"
 #include "rsf/client.hpp"
 #include "util/time.hpp"
 #include "x509/builder.hpp"
@@ -347,6 +348,182 @@ TEST(AnchordServer, VerifyFailureKindsCrossTheWire) {
   EXPECT_EQ(unknown.value().kind, ErrorKind::kMalformedRequest);
 }
 
+// §3.1 option 2 over a served session: the user agent built the chain, the
+// daemon runs the GCCs attached to its root. A denial names the GCC.
+TEST(AnchordServer, EvaluateGccsDenialCrossesTheWire) {
+  Harness h;
+  h.service.mutate([&](rootstore::RootStore& store) {
+    store.attach_gcc(core::Gcc::for_certificate(
+                         "no-ev", *h.pki.root,
+                         "valid(Chain, _) :- leaf(Chain, L), \\+ev(L).")
+                         .take());
+  });
+  AnchordClient client(h.client_end());
+  auto evaluate = [&](const CertPtr& leaf) {
+    Request request;
+    request.verb = Verb::kEvaluateGccs;
+    request.usage = "TLS";
+    request.leaf_der = leaf->der();
+    request.intermediates_der = {h.pki.intermediate->der(),
+                                 h.pki.root->der()};
+    return client.call(request);
+  };
+
+  auto plain = evaluate(h.pki.leaf("ok.example.com"));
+  ASSERT_TRUE(plain.ok()) << plain.error();
+  EXPECT_TRUE(plain.value().ok);
+  EXPECT_EQ(plain.value().kind, ErrorKind::kOk);
+  EXPECT_EQ(plain.value().stats.gccs_evaluated, 1u);
+
+  auto ev = evaluate(h.pki.leaf("ev.example.com", /*ev=*/true));
+  ASSERT_TRUE(ev.ok()) << ev.error();
+  EXPECT_FALSE(ev.value().ok);
+  EXPECT_EQ(ev.value().kind, ErrorKind::kGccDenied);
+  EXPECT_EQ(ev.value().detail, "gcc:no-ev");
+}
+
+// evaluate-gccs classifies a leaf that does not parse, and accepts the
+// usage tokens verify accepts and no others: the verifier only ever hands
+// GCCs a usage_name() value.
+TEST(AnchordServer, EvaluateGccsRejectsMalformedRequests) {
+  Harness h;
+  AnchordClient client(h.client_end());
+  Request request;
+  request.verb = Verb::kEvaluateGccs;
+  request.usage = "TLS";
+  request.intermediates_der = {h.pki.intermediate->der(), h.pki.root->der()};
+  auto expect_kind = [&](ErrorKind kind) {
+    auto response = client.call(request);
+    ASSERT_TRUE(response.ok()) << response.error();
+    EXPECT_EQ(response.value().ok, kind == ErrorKind::kOk);
+    EXPECT_EQ(response.value().kind, kind);
+  };
+
+  request.leaf_der = Bytes{0x01, 0x02, 0x03};
+  expect_kind(ErrorKind::kMalformedRequest);
+  request.leaf_der.clear();
+  expect_kind(ErrorKind::kMalformedRequest);
+
+  request.leaf_der = h.pki.leaf("usage.example.com")->der();
+  request.usage = "FOO";
+  expect_kind(ErrorKind::kMalformedRequest);
+  request.usage = "TLS";
+  expect_kind(ErrorKind::kOk);
+}
+
+// An intermediate that does not parse is classified like a bad leaf, and
+// the session keeps serving: the next well-formed request is answered.
+TEST(AnchordServer, EvaluateGccsRejectsUnparsableIntermediate) {
+  Harness h;
+  AnchordClient client(h.client_end());
+  Request request;
+  request.verb = Verb::kEvaluateGccs;
+  request.usage = "TLS";
+  request.leaf_der = h.pki.leaf("int.example.com")->der();
+  request.intermediates_der = {Bytes{0xde, 0xad, 0xbe, 0xef},
+                               h.pki.root->der()};
+  auto bad = client.call(request);
+  ASSERT_TRUE(bad.ok()) << bad.error();
+  EXPECT_FALSE(bad.value().ok);
+  EXPECT_EQ(bad.value().kind, ErrorKind::kMalformedRequest);
+  EXPECT_FALSE(bad.value().detail.empty());
+  EXPECT_EQ(bad.value().stats.gccs_evaluated, 0u);
+
+  request.intermediates_der = {h.pki.intermediate->der(), h.pki.root->der()};
+  auto good = client.call(request);
+  ASSERT_TRUE(good.ok()) << good.error();
+  EXPECT_TRUE(good.value().ok);
+  EXPECT_EQ(good.value().kind, ErrorKind::kOk);
+}
+
+// The request's usage token is what the GCCs see: a constraint that only
+// admits TLS allows the chain for "TLS" and denies the same chain for
+// "S/MIME", so neither verdict is replayed for the other usage.
+TEST(AnchordServer, EvaluateGccsHandsTheRequestUsageToGccs) {
+  Harness h;
+  h.service.mutate([&](rootstore::RootStore& store) {
+    store.attach_gcc(core::Gcc::for_certificate(
+                         "tls-only", *h.pki.root,
+                         "valid(Chain, \"TLS\") :- leaf(Chain, _).")
+                         .take());
+  });
+  AnchordClient client(h.client_end());
+  Request request;
+  request.verb = Verb::kEvaluateGccs;
+  request.leaf_der = h.pki.leaf("usage.example.com")->der();
+  request.intermediates_der = {h.pki.intermediate->der(), h.pki.root->der()};
+
+  request.usage = core::kUsageTls;
+  auto tls = client.call(request);
+  ASSERT_TRUE(tls.ok()) << tls.error();
+  EXPECT_TRUE(tls.value().ok);
+  EXPECT_EQ(tls.value().stats.gccs_evaluated, 1u);
+
+  request.usage = core::kUsageSmime;
+  auto smime = client.call(request);
+  ASSERT_TRUE(smime.ok()) << smime.error();
+  EXPECT_FALSE(smime.value().ok);
+  EXPECT_EQ(smime.value().kind, ErrorKind::kGccDenied);
+  EXPECT_EQ(smime.value().detail, "gcc:tls-only");
+}
+
+// A GCC attached between two calls governs the second one: the allow from
+// before the mutation is not replayed, and the response carries the new
+// epoch.
+TEST(AnchordServer, EvaluateGccsSeesAGccAttachedBetweenCalls) {
+  Harness h;
+  AnchordClient client(h.client_end());
+  Request request;
+  request.verb = Verb::kEvaluateGccs;
+  request.usage = "TLS";
+  request.leaf_der = h.pki.leaf("late.example.com", /*ev=*/true)->der();
+  request.intermediates_der = {h.pki.intermediate->der(), h.pki.root->der()};
+
+  auto before = client.call(request);
+  ASSERT_TRUE(before.ok()) << before.error();
+  EXPECT_TRUE(before.value().ok);
+  EXPECT_EQ(before.value().stats.gccs_evaluated, 0u);
+
+  h.service.mutate([&](rootstore::RootStore& store) {
+    store.attach_gcc(core::Gcc::for_certificate(
+                         "no-ev", *h.pki.root,
+                         "valid(Chain, _) :- leaf(Chain, L), \\+ev(L).")
+                         .take());
+  });
+  auto after = client.call(request);
+  ASSERT_TRUE(after.ok()) << after.error();
+  EXPECT_FALSE(after.value().ok);
+  EXPECT_EQ(after.value().kind, ErrorKind::kGccDenied);
+  EXPECT_EQ(after.value().detail, "gcc:no-ev");
+  EXPECT_GT(after.value().stats.epoch, before.value().stats.epoch);
+}
+
+// Every metrics scrape refreshes the store gauges first, so a store
+// mutation between two scrapes shows up in the second.
+TEST(AnchordServer, MetricsScrapeReflectsStoreMutation) {
+  Harness h;
+  AnchordClient client(h.client_end());
+  auto scrape = [&] {
+    Request request;
+    request.verb = Verb::kMetrics;
+    auto response = client.call(request);
+    EXPECT_TRUE(response.ok()) << response.error();
+    return response.ok() ? response.value().detail : std::string();
+  };
+  auto distrust = [&](char hex) {
+    h.service.mutate([hex](rootstore::RootStore& store) {
+      store.distrust(*digest_from_hex(std::string(64, hex)), "incident");
+    });
+  };
+
+  distrust('a');
+  EXPECT_NE(scrape().find("anchor_store_distrusted_roots 1"),
+            std::string::npos);
+  distrust('b');
+  EXPECT_NE(scrape().find("anchor_store_distrusted_roots 2"),
+            std::string::npos);
+}
+
 // Acceptance: the wire path and the direct VerifyService path produce
 // byte-identical responses for the same request.
 TEST(AnchordServer, WireVerdictMatchesDirectPathByteForByte) {
@@ -372,6 +549,39 @@ TEST(AnchordServer, WireVerdictMatchesDirectPathByteForByte) {
     EXPECT_EQ(encode_response(wire.value()).payload,
               encode_response(direct_response).payload)
         << "wire and direct responses diverge for " << domain;
+  }
+}
+
+// The same property for evaluate-gccs, on an allowed chain and on one a
+// GCC denies.
+TEST(AnchordServer, EvaluateGccsVerdictsMatchDirectDispatchByteForByte) {
+  Harness h;
+  h.service.mutate([&](rootstore::RootStore& store) {
+    store.attach_gcc(core::Gcc::for_certificate(
+                         "no-ev", *h.pki.root,
+                         "valid(Chain, _) :- leaf(Chain, L), \\+ev(L).")
+                         .take());
+  });
+  VerbDispatcher direct(h.backends);
+  AnchordClient client(h.client_end());
+
+  for (const bool ev : {false, true}) {
+    Request request;
+    request.verb = Verb::kEvaluateGccs;
+    request.usage = "TLS";
+    request.leaf_der = h.pki.leaf("gccs.example.com", ev)->der();
+    request.intermediates_der = {h.pki.intermediate->der(),
+                                 h.pki.root->der()};
+    auto wire = client.call(request);
+    ASSERT_TRUE(wire.ok()) << wire.error();
+    EXPECT_EQ(wire.value().ok, !ev);
+
+    Request mirror = request;
+    mirror.correlation_id = wire.value().correlation_id;
+    Response direct_response = direct.dispatch(mirror);
+    EXPECT_EQ(encode_response(wire.value()).payload,
+              encode_response(direct_response).payload)
+        << "wire and direct responses diverge for ev=" << ev;
   }
 }
 
@@ -1328,6 +1538,79 @@ TEST(AnchordServer, ConcurrentConnectionsWithPipelining) {
       h.registry.counter("anchor_anchord_requests_total", {{"verb", "verify"}})
           .value(),
       static_cast<std::uint64_t>(kConnections) * kRequestsPerConnection);
+}
+
+// §3.1 option 2 under load: several sessions pipeline evaluate-gccs calls
+// into one service at once, and each GCC verdict matches its chain.
+TEST(AnchordServer, ConcurrentEvaluateGccsSessionsShareOneService) {
+  AnchordConfig config;
+  config.workers = 4;
+  Harness h(config);
+  h.service.mutate([&](rootstore::RootStore& store) {
+    store.attach_gcc(core::Gcc::for_certificate(
+                         "no-ev", *h.pki.root,
+                         "valid(Chain, _) :- leaf(Chain, L), \\+ev(L).")
+                         .take());
+  });
+
+  constexpr int kConnections = 4;
+  constexpr int kRequestsPerConnection = 12;
+  const Bytes plain_der = h.pki.leaf("plain.example.com")->der();
+  const Bytes ev_der = h.pki.leaf("ev.example.com", /*ev=*/true)->der();
+
+  std::vector<std::thread> serve_threads;
+  std::vector<ConduitPair> pairs;
+  pairs.reserve(kConnections);
+  for (int c = 0; c < kConnections; ++c) {
+    pairs.push_back(memory_pair());
+    serve_threads.emplace_back(
+        [&, c] { h.server->serve(*pairs[static_cast<std::size_t>(c)].second); });
+  }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kConnections; ++c) {
+    clients.emplace_back([&, c] {
+      AnchordClient client(*pairs[static_cast<std::size_t>(c)].first);
+      std::vector<std::pair<std::uint64_t, bool>> expect;
+      for (int i = 0; i < kRequestsPerConnection; ++i) {
+        const bool allow = (i + c) % 2 == 0;
+        Request request;
+        request.verb = Verb::kEvaluateGccs;
+        request.usage = "TLS";
+        request.leaf_der = allow ? plain_der : ev_der;
+        request.intermediates_der = {h.pki.intermediate->der(),
+                                     h.pki.root->der()};
+        auto id = client.send(std::move(request));
+        if (!id.ok()) {
+          ++mismatches;
+          continue;
+        }
+        expect.emplace_back(id.value(), allow);
+      }
+      for (const auto& [id, allow] : expect) {
+        auto response = client.receive(id);
+        if (!response.ok() || response.value().ok != allow ||
+            response.value().kind !=
+                (allow ? ErrorKind::kOk : ErrorKind::kGccDenied)) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  for (int c = 0; c < kConnections; ++c) {
+    pairs[static_cast<std::size_t>(c)].first->close();
+  }
+  for (auto& t : serve_threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(h.registry
+                .counter("anchor_anchord_requests_total",
+                         {{"verb", "evaluate-gccs"}})
+                .value(),
+            static_cast<std::uint64_t>(kConnections) * kRequestsPerConnection);
+  EXPECT_EQ(h.service.stats().calls,
+            static_cast<std::uint64_t>(kConnections) * kRequestsPerConnection);
 }
 
 }  // namespace

@@ -304,8 +304,15 @@ TEST(VerifyService, BatchMatchesSequentialVerification) {
   VerifyOptions options;
   options.time = kNow;
   std::vector<CertPtr> batch = pki.leaves;
-  std::vector<VerifyResult> results =
-      service.verify_batch(batch, pki.pool, options);
+  auto pool = std::make_shared<const CertificatePool>(pki.pool);
+  std::vector<std::future<VerifyResult>> pending;
+  pending.reserve(batch.size());
+  for (const CertPtr& leaf : batch) {
+    pending.push_back(service.submit(leaf, pool, options));
+  }
+  std::vector<VerifyResult> results;
+  results.reserve(pending.size());
+  for (auto& future : pending) results.push_back(future.get());
   ASSERT_EQ(results.size(), batch.size());
 
   ChainVerifier cold(pki.store, pki.sigs);
@@ -359,15 +366,16 @@ TEST(VerifyService, DerEntryPointsShareParseCache) {
   ServicePki pki;
   VerifyService service(pki.store, pki.sigs);
 
-  std::vector<Bytes> chain_der{pki.leaves[0]->der(),
-                               pki.intermediates[0]->der(),
+  std::vector<Bytes> upper_der{pki.intermediates[0]->der(),
                                pki.roots[0]->der()};
-  EXPECT_TRUE(service.evaluate_gccs(chain_der, "TLS"));
+  EXPECT_TRUE(
+      service.evaluate_gccs(pki.leaves[0]->der(), upper_der, "TLS").allowed);
   ServiceStats cold = service.stats();
   EXPECT_EQ(cold.cert_hits, 0u);
   EXPECT_EQ(cold.cert_misses, 3u);
 
-  EXPECT_TRUE(service.evaluate_gccs(chain_der, "TLS"));
+  EXPECT_TRUE(
+      service.evaluate_gccs(pki.leaves[0]->der(), upper_der, "TLS").allowed);
   ServiceStats warm = service.stats();
   EXPECT_EQ(warm.cert_hits, 3u);
   EXPECT_EQ(warm.cert_misses, 3u);
@@ -378,6 +386,98 @@ TEST(VerifyService, DerEntryPointsShareParseCache) {
                                          pki.options_for(0));
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_GE(service.stats().cert_hits, 5u);
+}
+
+// A denial names the GCC that failed, and only the GCCs of the chain's own
+// root run: a chain under another root is allowed without evaluating any.
+TEST(VerifyService, EvaluateGccsNamesTheDenyingGcc) {
+  ServicePki pki;
+  pki.store.attach_gcc(
+      core::Gcc::for_certificate("ev-only", *pki.roots[0], kRejectGcc)
+          .take());
+  VerifyService service(pki.store, pki.sigs);
+
+  std::vector<Bytes> under_root0{pki.intermediates[0]->der(),
+                                 pki.roots[0]->der()};
+  VerifyService::GccsOutcome denied =
+      service.evaluate_gccs(pki.leaves[0]->der(), under_root0, "TLS");
+  EXPECT_FALSE(denied.allowed);
+  EXPECT_EQ(denied.kind, ErrorKind::kGccDenied);
+  EXPECT_EQ(denied.detail, "gcc:ev-only");
+  EXPECT_EQ(denied.verdict.failed_gcc, "ev-only");
+  EXPECT_EQ(denied.verdict.gccs_evaluated, 1u);
+
+  // roots[1] issues intermediates[2], which issues leaves[8..11].
+  std::vector<Bytes> under_root1{pki.intermediates[2]->der(),
+                                 pki.roots[1]->der()};
+  VerifyService::GccsOutcome allowed =
+      service.evaluate_gccs(pki.leaves[8]->der(), under_root1, "TLS");
+  EXPECT_TRUE(allowed.allowed);
+  EXPECT_EQ(allowed.kind, ErrorKind::kOk);
+  EXPECT_TRUE(allowed.detail.empty());
+  EXPECT_EQ(allowed.verdict.gccs_evaluated, 0u);
+}
+
+// DER that does not parse, as the leaf or as an intermediate, is
+// kMalformedRequest before any GCC runs; each such call is still counted.
+TEST(VerifyService, EvaluateGccsClassifiesMalformedDer) {
+  ServicePki pki;
+  pki.store.attach_gcc(
+      core::Gcc::for_certificate("accept", *pki.roots[0], kAcceptGcc).take());
+  VerifyService service(pki.store, pki.sigs);
+  const Bytes garbage{0x30, 0x03, 0x01, 0x02};
+
+  std::vector<Bytes> upper_der{pki.intermediates[0]->der(),
+                               pki.roots[0]->der()};
+  VerifyService::GccsOutcome bad_leaf =
+      service.evaluate_gccs(garbage, upper_der, "TLS");
+  EXPECT_FALSE(bad_leaf.allowed);
+  EXPECT_EQ(bad_leaf.kind, ErrorKind::kMalformedRequest);
+  EXPECT_FALSE(bad_leaf.detail.empty());
+  EXPECT_EQ(bad_leaf.verdict.gccs_evaluated, 0u);
+
+  std::vector<Bytes> bad_upper{garbage, pki.roots[0]->der()};
+  VerifyService::GccsOutcome bad_intermediate =
+      service.evaluate_gccs(pki.leaves[0]->der(), bad_upper, "TLS");
+  EXPECT_FALSE(bad_intermediate.allowed);
+  EXPECT_EQ(bad_intermediate.kind, ErrorKind::kMalformedRequest);
+  EXPECT_EQ(bad_intermediate.verdict.gccs_evaluated, 0u);
+
+  EXPECT_EQ(service.stats().calls, 2u);
+  EXPECT_EQ(service.stats().verdict_misses, 0u);
+}
+
+// A repeat evaluate_gccs is a verdict-cache hit; a mutation that attaches
+// a denying GCC moves the epoch, so the earlier allow is not replayed.
+TEST(VerifyService, EvaluateGccsVerdictIsCachedWithinAnEpoch) {
+  ServicePki pki;
+  pki.store.attach_gcc(
+      core::Gcc::for_certificate("accept", *pki.roots[0], kAcceptGcc).take());
+  VerifyService service(pki.store, pki.sigs);
+  std::vector<Bytes> upper_der{pki.intermediates[0]->der(),
+                               pki.roots[0]->der()};
+
+  EXPECT_TRUE(
+      service.evaluate_gccs(pki.leaves[0]->der(), upper_der, "TLS").allowed);
+  ServiceStats first = service.stats();
+  EXPECT_EQ(first.verdict_misses, 1u);
+  EXPECT_EQ(first.verdict_hits, 0u);
+
+  EXPECT_TRUE(
+      service.evaluate_gccs(pki.leaves[0]->der(), upper_der, "TLS").allowed);
+  EXPECT_EQ(service.stats().verdict_hits, first.verdict_hits + 1);
+  EXPECT_EQ(service.stats().verdict_misses, first.verdict_misses);
+
+  service.mutate([&](rootstore::RootStore& store) {
+    store.attach_gcc(
+        core::Gcc::for_certificate("ev-only", *pki.roots[0], kRejectGcc)
+            .take());
+  });
+  VerifyService::GccsOutcome after =
+      service.evaluate_gccs(pki.leaves[0]->der(), upper_der, "TLS");
+  EXPECT_FALSE(after.allowed);
+  EXPECT_EQ(after.detail, "gcc:ev-only");
+  EXPECT_EQ(service.stats().verdict_misses, first.verdict_misses + 1);
 }
 
 // The reactor-side probe: it never parses, and it counts nothing unless

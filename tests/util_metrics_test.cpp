@@ -1,6 +1,6 @@
 // util/metrics: registry semantics (find-or-create, label canonicalization,
 // kind-conflict fail-closed), histogram bucketing, tracing spans, and the
-// text exposition format that `anchorctl metrics` and the TrustDaemon
+// text exposition format that `anchorctl metrics` and the anchord
 // `metrics` verb serve.
 #include "util/metrics.hpp"
 

@@ -1312,7 +1312,7 @@ int cmd_daemon(int argc, char** argv) {
 
 // Operator-facing scrape: drives real work — repeated verifications, and
 // optionally one RSF poll against a feed directory — through the shared
-// registry, then prints the exposition. The same counters the TrustDaemon
+// registry, then prints the exposition. The same counters the anchord
 // `metrics` verb serves; EXPERIMENTS tables snapshot these series.
 int cmd_metrics(int argc, char** argv) {
   if (argc < 2) return usage();
