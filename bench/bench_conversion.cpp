@@ -76,21 +76,6 @@ void BM_EncodeChain(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeChain);
 
-void BM_EncodeAndLoadIntoEngine(benchmark::State& state) {
-  const Corpus& corpus = bench_corpus();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    FactSet facts;
-    Chain chain = corpus.chain_for_leaf(i % corpus.leaves().size());
-    encode_chain(chain, "bench-chain", facts);
-    anchor::datalog::Engine engine;
-    facts.load_into(engine);
-    benchmark::DoNotOptimize(engine);
-    ++i;
-  }
-}
-BENCHMARK(BM_EncodeAndLoadIntoEngine);
-
 // The verdict path's loader: per GCC, the chain facts its program mentions
 // go straight into a reused session (as GccExecutor does per chain).
 void run_load_chain(benchmark::State& state,

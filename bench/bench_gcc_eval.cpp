@@ -12,6 +12,8 @@
 #include "core/executor.hpp"
 #include "incidents/incidents.hpp"
 #include "incidents/listings.hpp"
+#include "oracle/evaluator.hpp"
+#include "oracle/model.hpp"
 #include "util/metrics.hpp"
 #include "util/time.hpp"
 #include "x509/builder.hpp"
@@ -202,28 +204,28 @@ void BM_Ablation_RecursiveGcc(benchmark::State& state) {
 BENCHMARK(BM_Ablation_RecursiveGcc)->Arg(0)->Arg(1)->ArgNames({"naive"});
 
 // In-tree baseline for the compiled pipeline: the pre-split evaluation
-// path, which built a fresh Engine per evaluation (program copy,
-// re-stratification, greedy re-ordering) and joined on string-compared
-// Values. Kept as a benchmark so the compiled/interpreted ratio is
-// measurable on any machine, not just in EXPERIMENTS.md history.
+// path, which built a fresh interpreter per evaluation (re-stratification,
+// greedy re-ordering) and joined on string-compared Values. It now runs
+// the test-only oracle Evaluator over a fresh Database, the same work, so
+// the compiled/interpreted ratio stays measurable on any machine, not just
+// in EXPERIMENTS.md history.
 bool interpreted_evaluate_one(const Chain& chain, std::string_view usage,
                               const Gcc& gcc,
                               datalog::Strategy strategy) {
-  datalog::Engine engine(strategy);
-  engine.add_program(gcc.program());
+  auto evaluator = datalog::Evaluator::create(gcc.program(), strategy);
+  if (!evaluator) return false;
 
   core::FactSet facts;
   const std::string chain_id = core::chain_id_of(chain);
   core::encode_chain(chain, chain_id, facts);
-  facts.load_into(engine);
+  datalog::Database db;
+  datalog::load_facts(facts, db);
 
-  datalog::Atom goal;
-  goal.predicate = "valid";
-  goal.args.push_back(datalog::Term::constant_of(datalog::Value(chain_id)));
-  goal.args.push_back(
-      datalog::Term::constant_of(datalog::Value(std::string(usage))));
-  auto result = engine.query(goal);
-  return result.ok() && !engine.stats().truncated && result.value().holds();
+  const datalog::EvalStats stats = evaluator.value().run(db);
+  const datalog::Relation* valid = db.find("valid", 2);
+  return !stats.truncated && valid != nullptr &&
+         valid->contains({datalog::Value(chain_id),
+                          datalog::Value(std::string(usage))});
 }
 
 void BM_Interpreted_Listing1_Tls(benchmark::State& state) {

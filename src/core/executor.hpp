@@ -5,9 +5,8 @@
 // Each GCC is evaluated against its own precompiled program and a freshly
 // prepared session — constraints from different operators must not observe
 // each other's derived facts. The compiled form (symbol interning + slot
-// resolution, built once at Gcc::create) replaces the old per-evaluation
-// Engine, which re-ran stratification, safety and body ordering on every
-// (chain, usage, GCC) triple.
+// resolution, built once at Gcc::create) runs stratification, safety and
+// body ordering once per program, not per (chain, usage, GCC) triple.
 #pragma once
 
 #include <span>

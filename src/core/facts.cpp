@@ -27,12 +27,6 @@ const std::array<PredicateSpec, kPredicateCount> kVocabulary = {{
     {"chainLength", 2},  {"certAt", 3},       {"signs", 2},
 }};
 
-void FactSet::load_into(datalog::Engine& engine) const {
-  for (const Fact& fact : facts) {
-    engine.add_fact(fact.predicate, fact.args);
-  }
-}
-
 std::size_t FactSet::load_into(const datalog::CompiledProgram& program,
                                datalog::Session& session) const {
   std::size_t loaded = 0;

@@ -31,8 +31,8 @@
 // One emitter walks this vocabulary and feeds a sink. Two sinks exist:
 //   * encode_chain / encode_certificate build the full `FactSet` of string
 //     `Value`s — the eager conversion experiment E4 measures against the
-//     paper's "~2.4 ms mean (unoptimized)" claim, and what the interpreter,
-//     `policy` and `anchorctl chain-facts` read;
+//     paper's "~2.4 ms mean (unoptimized)" claim, and what `policy` and
+//     `anchorctl chain-facts` read;
 //   * load_chain writes a chain's facts straight into a compiled GCC's
 //     `datalog::Session` as interned ids, skipping every predicate the
 //     program never mentions before computing any of its arguments. This is
@@ -48,7 +48,6 @@
 #include <string_view>
 #include <vector>
 
-#include "datalog/engine.hpp"
 #include "datalog/value.hpp"
 #include "x509/certificate.hpp"
 
@@ -71,12 +70,11 @@ struct FactSet {
     facts.push_back(Fact{std::move(predicate), std::move(args)});
   }
   std::size_t size() const { return facts.size(); }
-  void load_into(datalog::Engine& engine) const;
 
-  // Interning loader for the compiled pipeline: facts go straight into the
-  // session's relations as tagged-id tuples. Facts whose predicate/arity the
-  // program never references are skipped (they cannot affect the model).
-  // Returns the number of facts actually loaded.
+  // Interning loader: facts go straight into the session's relations as
+  // tagged-id tuples. Facts whose predicate/arity the program never
+  // references are skipped (they cannot affect the model). Returns the
+  // number of facts actually loaded.
   std::size_t load_into(const datalog::CompiledProgram& program,
                         datalog::Session& session) const;
 };

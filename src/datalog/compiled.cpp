@@ -76,9 +76,10 @@ Result<CompiledProgram> CompiledProgram::compile(const Program& program) {
     rule.stratum =
         strat.stratum(relation_key(clause.head.predicate, clause.head.arity()));
 
-    // Greedy executable ordering — identical to Evaluator::compile (it uses
-    // the same literal_ready), so compiled execution visits literals in the
-    // interpreter's order and derives identical models.
+    // Greedy executable ordering — identical to the oracle's
+    // Evaluator::compile (it uses the same literal_ready), so compiled
+    // execution visits literals in the interpreter's order and derives
+    // identical models.
     std::vector<Literal> remaining = clause.body;
     std::vector<Literal> ordered;
     ordered.reserve(remaining.size());
@@ -498,7 +499,7 @@ EvalStats CompiledProgram::run(Session& s, Strategy strategy,
   };
 
   // The loop structure (and therefore iteration/rule-application counting
-  // and truncation points) deliberately mirrors Evaluator::run.
+  // and truncation points) deliberately mirrors the oracle's Evaluator::run.
   for (int stratum = 0; stratum < num_strata_; ++stratum) {
     const auto& active = stratum_rules_[static_cast<std::size_t>(stratum)];
     if (active.empty()) continue;
@@ -565,17 +566,72 @@ bool CompiledProgram::query_holds(const Session& s, std::string_view predicate,
   return s.contains(r, probe);
 }
 
-void CompiledProgram::decode_model(const Session& s, Database& out) const {
-  for (std::size_t r = 0; r < relations_.size(); ++r) {
-    const IRelation& rel = s.relations_[r];
-    for (std::size_t t = 0; t < rel.size(); ++t) {
-      const std::span<const IValue> tuple = rel.tuple(t);
-      Tuple decoded;
-      decoded.reserve(tuple.size());
-      for (IValue v : tuple) decoded.push_back(s.overlay_.decode(v));
-      out.add(relations_[r].predicate, std::move(decoded));
+QueryResult CompiledProgram::query(const Session& s, const Atom& goal) const {
+  QueryResult result;
+  const int r = relation_index(goal.predicate, goal.arity());
+  if (r < 0) return result;
+
+  // Resolve the goal once: a constant becomes its interned id, a repeated
+  // variable a check against its first occurrence's position.
+  struct Arg {
+    enum class Kind { kConst, kBind, kCheck, kIgnore };
+    Kind kind = Kind::kIgnore;
+    IValue cval;
+    std::size_t first = 0;  // kCheck: position of the binding occurrence
+  };
+  std::vector<Arg> args(goal.args.size());
+  for (std::size_t i = 0; i < goal.args.size(); ++i) {
+    const Term& term = goal.args[i];
+    if (term.is_const()) {
+      const auto iv = s.overlay_.find(term.constant);
+      if (!iv) return result;  // never interned => no tuple contains it
+      args[i] = {Arg::Kind::kConst, *iv, 0};
+    } else if (term.is_var()) {
+      args[i].kind = Arg::Kind::kBind;
+      for (std::size_t j = 0; j < i; ++j) {
+        if (goal.args[j].is_var() && goal.args[j].name == term.name) {
+          args[i] = {Arg::Kind::kCheck, IValue(), j};
+          break;
+        }
+      }
     }
   }
+
+  const IRelation& rel = s.relations_[static_cast<std::size_t>(r)];
+  for (std::size_t t = 0; t < rel.size(); ++t) {
+    const std::span<const IValue> tuple = rel.tuple(t);
+    bool match = true;
+    for (std::size_t i = 0; i < args.size() && match; ++i) {
+      if (args[i].kind == Arg::Kind::kConst) {
+        match = tuple[i] == args[i].cval;
+      } else if (args[i].kind == Arg::Kind::kCheck) {
+        match = tuple[i] == tuple[args[i].first];
+      }
+    }
+    if (!match) continue;
+    std::unordered_map<std::string, Value> binding;
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      if (args[i].kind == Arg::Kind::kBind) {
+        binding.emplace(goal.args[i].name, s.overlay_.decode(tuple[i]));
+      }
+    }
+    result.bindings.push_back(std::move(binding));
+  }
+  return result;
+}
+
+std::vector<Tuple> CompiledProgram::tuples(const Session& s,
+                                           int relation) const {
+  std::vector<Tuple> out;
+  if (relation < 0) return out;
+  const IRelation& rel = s.relations_[static_cast<std::size_t>(relation)];
+  out.reserve(rel.size());
+  for (std::size_t t = 0; t < rel.size(); ++t) {
+    Tuple decoded;
+    for (IValue v : rel.tuple(t)) decoded.push_back(s.overlay_.decode(v));
+    out.push_back(std::move(decoded));
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------

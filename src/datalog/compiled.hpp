@@ -1,7 +1,9 @@
-// Compile/execute split for GCC evaluation (DESIGN.md "Compiled GCC
-// evaluation"). The interpreted `Evaluator` re-runs stratification, safety
-// and greedy body ordering — and string-compares its way through every join
-// — on each evaluation. `CompiledProgram::compile` does all of that once:
+// The library's Datalog engine (DESIGN.md "Compiled GCC evaluation"): GCCs,
+// the policy verifier and `anchorctl datalog` all run here. An interpreter
+// re-runs stratification, safety and greedy body ordering — and
+// string-compares its way through every join — on each evaluation (the
+// test oracle under tests/oracle does exactly that, and this pipeline is
+// pinned to it). `CompiledProgram::compile` does all of that once:
 //
 //   * every constant is interned into a frozen per-program `SymbolTable`,
 //     so runtime tuples are flat runs of 8-byte tagged `IValue`s;
@@ -26,7 +28,6 @@
 #include <vector>
 
 #include "datalog/ast.hpp"
-#include "datalog/database.hpp"
 #include "datalog/eval.hpp"
 #include "datalog/interned.hpp"
 #include "util/bytes.hpp"
@@ -35,6 +36,14 @@
 namespace anchor::datalog {
 
 class CompiledProgram;
+
+struct QueryResult {
+  // One entry per satisfying assignment; maps each query variable to its
+  // value. A ground query that holds yields one empty binding map.
+  std::vector<std::unordered_map<std::string, Value>> bindings;
+
+  bool holds() const { return !bindings.empty(); }
+};
 
 // Reusable execution arena: one per thread (or per call site), prepared
 // against a program before each run. prepare() clears content but keeps
@@ -91,20 +100,27 @@ class CompiledProgram {
   // containing wildcards or variables the body never grounds.
   static Result<CompiledProgram> compile(const Program& program);
 
-  // Evaluates to fixpoint over the session's EDB facts. Mirrors
-  // Evaluator::run literal-for-literal (same strategy structure, same
-  // stats semantics, same truncation behavior).
+  // Evaluates to fixpoint over the session's EDB facts. Mirrors the
+  // oracle interpreter's run literal-for-literal (same strategy structure,
+  // same stats semantics, same truncation behavior).
   EvalStats run(Session& session, Strategy strategy = Strategy::kSemiNaive,
                 EvalLimits limits = {}) const;
 
-  // Ground query against the session model (call after run()).
+  // Ground query against the session model (call after run()). Allocates
+  // nothing beyond the probe tuple and builds no bindings.
   bool query_holds(const Session& session, std::string_view predicate,
                    std::span<const Value> args) const;
 
-  // Decodes the session model into a legacy Database (parity tests, model
-  // inspection). Relations with no tuples are skipped, matching the lazily
-  // created legacy relations.
-  void decode_model(const Session& session, Database& out) const;
+  // Open query against the session model (call after run()): one binding
+  // map per matching tuple, in model order. Constants must match, a
+  // repeated variable must bind the same value at each occurrence, and
+  // wildcards match anything. A goal the program never mentions matches
+  // nothing.
+  QueryResult query(const Session& session, const Atom& goal) const;
+
+  // The decoded tuples of one relation (by relation_index), in insertion
+  // order; empty for a negative index.
+  std::vector<Tuple> tuples(const Session& session, int relation) const;
 
   // Dense relation id for "predicate/arity", or -1 if the program never
   // mentions it. Allocation-free: the index is keyed on (predicate, arity).

@@ -16,7 +16,6 @@
 #include <limits>
 
 #include "datalog/compiled.hpp"
-#include "datalog/database.hpp"
 
 namespace anchor::datalog {
 

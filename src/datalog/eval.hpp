@@ -1,19 +1,16 @@
-// Bottom-up evaluation of stratified Datalog. The default strategy is
-// semi-naive (delta-driven); a naive recompute-everything strategy is kept
-// for the ablation benchmark (DESIGN.md §7) and as a differential-testing
-// oracle: both strategies must produce identical models.
+// Evaluation vocabulary for stratified Datalog, shared by the compiled
+// pipeline (datalog/compiled.hpp) and the interpreted test oracle it is
+// pinned against. The default strategy is semi-naive (delta-driven); a
+// naive recompute-everything strategy is kept for the ablation benchmark
+// (DESIGN.md §7) and as a differential check: both strategies must produce
+// identical models.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_set>
-#include <vector>
 
 #include "datalog/ast.hpp"
-#include "datalog/database.hpp"
-#include "datalog/stratify.hpp"
-#include "util/result.hpp"
 
 namespace anchor::datalog {
 
@@ -37,9 +34,10 @@ struct EvalStats {
   // literal fails either way (a GCC comparing a string timestamp against an
   // int rejects the chain), but silently — this counter is the diagnostic.
   std::uint64_t type_errors = 0;
-  // Head terms that were not ground at emit time (reachable only through
-  // hand-built ASTs that put wildcards in a rule head, which the safety
-  // check cannot see). The tuple is NOT emitted and `errored` is set.
+  // Head terms that were not ground at emit time (reachable only in the
+  // interpreted oracle, through hand-built ASTs that put wildcards in a
+  // rule head, which the safety check cannot see; CompiledProgram::compile
+  // rejects such programs). The tuple is NOT emitted and `errored` is set.
   std::uint64_t unbound_head_terms = 0;
   bool truncated = false;               // an EvalLimits bound was hit
   bool errored = false;                 // fail-closed: model is incomplete
@@ -56,48 +54,12 @@ struct EvalStats {
   }
 };
 
-// Body-ordering analysis shared by the interpreted Evaluator and the
-// compiled pipeline (CompiledProgram::compile): which variables a literal
-// mentions, and whether it is executable once `bound` holds.
+// Body-ordering analysis (CompiledProgram::compile, and the oracle's
+// greedy ordering it mirrors): which variables a literal mentions, and
+// whether it is executable once `bound` holds.
 void collect_literal_vars(const Literal& lit,
                           std::unordered_set<std::string>& out);
 bool literal_ready(const Literal& lit,
                    const std::unordered_set<std::string>& bound);
-
-class Evaluator {
- public:
-  // Validates stratification and safety; fails on violation.
-  static Result<Evaluator> create(const Program& program,
-                                  Strategy strategy = Strategy::kSemiNaive,
-                                  EvalLimits limits = {});
-
-  // Computes the model: adds the program's facts and all derivable IDB
-  // tuples into `db` (which may already hold EDB facts).
-  EvalStats run(Database& db) const;
-
- private:
-  // One body literal in execution order, with precomputed dispatch info.
-  struct OrderedLiteral {
-    Literal literal;
-    bool recursive = false;  // positive atom whose predicate is in the same
-                             // stratum as the rule head (semi-naive target)
-  };
-
-  struct CompiledRule {
-    Atom head;
-    std::vector<OrderedLiteral> body;  // reordered for executability
-    int stratum = 0;
-  };
-
-  Evaluator() = default;
-
-  Status compile(const Program& program);
-
-  Strategy strategy_ = Strategy::kSemiNaive;
-  EvalLimits limits_;
-  Stratification strata_;
-  std::vector<Clause> facts_;
-  std::vector<CompiledRule> rules_;
-};
 
 }  // namespace anchor::datalog

@@ -2,9 +2,11 @@
 
 #include <unordered_set>
 
-#include "datalog/database.hpp"
-
 namespace anchor::datalog {
+
+std::string relation_key(const std::string& predicate, std::size_t arity) {
+  return predicate + "/" + std::to_string(arity);
+}
 
 Result<Stratification> stratify(const Program& program) {
   // Collect IDB predicates (those appearing in some rule head).

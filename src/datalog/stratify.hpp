@@ -17,6 +17,10 @@
 
 namespace anchor::datalog {
 
+// The "predicate/arity" key strata are recorded under: p/1 and p/2 are
+// distinct relations.
+std::string relation_key(const std::string& predicate, std::size_t arity);
+
 struct Stratification {
   // stratum per IDB predicate key ("pred/arity"); EDB-only predicates get 0.
   std::unordered_map<std::string, int> stratum_of;

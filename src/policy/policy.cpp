@@ -2,7 +2,7 @@
 
 #include <unordered_set>
 
-#include "core/facts.hpp"
+#include "datalog/parser.hpp"
 #include "util/strings.hpp"
 
 namespace anchor::policy {
@@ -82,64 +82,56 @@ accept(L) :- leafOK(L), upOK(L, R, _), trustedRoot(R).
 
 namespace {
 
-using datalog::Tuple;
 using datalog::Value;
 
 // Hostname decomposition facts, mirroring what the GCC fact encoder does
 // for SAN names (pure syntactic data — no policy smuggled in).
-void emit_hostname_facts(const std::string& hostname,
-                         datalog::Engine& engine, std::size_t& facts) {
+void emit_hostname_facts(const std::string& hostname, core::FactSet& facts) {
   if (hostname.empty()) return;
   std::string host = to_lower(hostname);
-  engine.add_fact("hostname", {Value(host)});
-  ++facts;
+  facts.add("hostname", {Value(host)});
   std::size_t dot = host.find('.');
   if (dot != std::string::npos) {
-    engine.add_fact("hostnameParent", {Value(host.substr(dot + 1))});
-    ++facts;
+    facts.add("hostnameParent", {Value(host.substr(dot + 1))});
   }
   std::string_view rest = host;
-  engine.add_fact("hostnameSuffix", {Value(host)});
-  ++facts;
+  facts.add("hostnameSuffix", {Value(host)});
   while (true) {
     std::size_t d = rest.find('.');
     if (d == std::string_view::npos) break;
     rest = rest.substr(d + 1);
-    engine.add_fact("hostnameSuffix", {Value(std::string(rest))});
-    ++facts;
+    facts.add("hostnameSuffix", {Value(std::string(rest))});
   }
 }
 
 // Wildcard SAN decomposition: "*.example.com" -> base "example.com".
-void emit_wildcard_facts(const x509::Certificate& cert,
-                         datalog::Engine& engine, std::size_t& facts) {
+void emit_wildcard_facts(const x509::Certificate& cert, core::FactSet& facts) {
   if (!cert.subject_alt_name()) return;
   const std::string id = cert.fingerprint_hex();
   for (const auto& name : cert.subject_alt_name()->dns_names) {
     if (starts_with(name, "*.")) {
-      engine.add_fact("sanWildcardBase",
-                      {Value(id), Value(to_lower(name.substr(2)))});
-      ++facts;
+      facts.add("sanWildcardBase",
+                {Value(id), Value(to_lower(name.substr(2)))});
     }
   }
+}
+
+Result<datalog::CompiledProgram> compile_policy(std::string_view source) {
+  auto program = datalog::parse_program(source);
+  if (!program) return err(program.error());
+  return datalog::CompiledProgram::compile(program.value());
 }
 
 }  // namespace
 
 PolicyVerifier::PolicyVerifier(const rootstore::RootStore& store,
                                const SignatureScheme& scheme,
-                               std::string policy_source)
-    : store_(store), scheme_(scheme), policy_source_(std::move(policy_source)) {}
+                               std::string_view policy_source)
+    : store_(store), scheme_(scheme), program_(compile_policy(policy_source)) {}
 
-PolicyResult PolicyVerifier::verify(const x509::CertPtr& leaf,
+core::FactSet PolicyVerifier::facts(const x509::CertPtr& leaf,
                                     const chain::CertificatePool& pool,
                                     const chain::VerifyOptions& options) const {
-  PolicyResult result;
-  result.leaf_id = leaf->fingerprint_hex();
-
-  datalog::Engine engine;
-  if (Status s = engine.load(policy_source_); !s) return result;
-
   // Gather the certificate universe: leaf + pool candidates (reached by
   // issuer-DN walking) + trusted roots.
   std::vector<x509::CertPtr> universe{leaf};
@@ -172,22 +164,17 @@ PolicyResult PolicyVerifier::verify(const x509::CertPtr& leaf,
   for (const auto& cert : universe) {
     core::encode_certificate(*cert, facts);
   }
-  facts.load_into(engine);
-  result.facts = facts.size();
   for (const auto& cert : universe) {
-    emit_wildcard_facts(*cert, engine, result.facts);
+    emit_wildcard_facts(*cert, facts);
   }
 
   // Host facts.
-  engine.add_fact("now", {Value(options.time)});
-  engine.add_fact("usage",
-                  {Value(std::string(chain::usage_name(options.usage)))});
-  engine.add_fact("isLeaf", {Value(result.leaf_id)});
-  result.facts += 3;
-  emit_hostname_facts(options.hostname, engine, result.facts);
+  facts.add("now", {Value(options.time)});
+  facts.add("usage", {Value(std::string(chain::usage_name(options.usage)))});
+  facts.add("isLeaf", {Value(leaf->fingerprint_hex())});
+  emit_hostname_facts(options.hostname, facts);
   for (const auto& root : roots) {
-    engine.add_fact("trustedRoot", {Value(root->fingerprint_hex())});
-    ++result.facts;
+    facts.add("trustedRoot", {Value(root->fingerprint_hex())});
   }
 
   // Explicit distrust, lifted to the logical-CA level: every certificate
@@ -197,8 +184,7 @@ PolicyResult PolicyVerifier::verify(const x509::CertPtr& leaf,
   // either. The impossible "-" fact keeps the predicate total for the
   // \+distrustedCA negation when nothing is distrusted (same construction
   // as revocation_gcc).
-  engine.add_fact("distrustedCA", {Value(std::string("-"))});
-  ++result.facts;
+  facts.add("distrustedCA", {Value(std::string("-"))});
   std::unordered_set<std::string> poisoned_groups;
   const auto group_key = [](const x509::Certificate& cert) {
     return cert.subject().to_string() + "|" +
@@ -213,8 +199,7 @@ PolicyResult PolicyVerifier::verify(const x509::CertPtr& leaf,
   if (!poisoned_groups.empty()) {
     for (const auto& cert : universe) {
       if (poisoned_groups.count(group_key(*cert)) != 0) {
-        engine.add_fact("distrustedCA", {Value(cert->fingerprint_hex())});
-        ++result.facts;
+        facts.add("distrustedCA", {Value(cert->fingerprint_hex())});
       }
     }
   }
@@ -231,18 +216,30 @@ PolicyResult PolicyVerifier::verify(const x509::CertPtr& leaf,
                           BytesView(child->signature()))) {
         continue;
       }
-      engine.add_fact("issuedBy", {Value(child->fingerprint_hex()),
-                                   Value(issuer->fingerprint_hex())});
-      ++result.facts;
+      facts.add("issuedBy", {Value(child->fingerprint_hex()),
+                             Value(issuer->fingerprint_hex())});
     }
   }
+  return facts;
+}
 
-  datalog::Atom goal;
-  goal.predicate = "accept";
-  goal.args.push_back(datalog::Term::constant_of(Value(result.leaf_id)));
-  auto answer = engine.query(goal);
-  result.stats = engine.stats();
-  result.ok = answer.ok() && answer.value().holds();
+PolicyResult PolicyVerifier::verify(const x509::CertPtr& leaf,
+                                    const chain::CertificatePool& pool,
+                                    const chain::VerifyOptions& options) const {
+  PolicyResult result;
+  result.leaf_id = leaf->fingerprint_hex();
+  if (!program_) return result;
+  const datalog::CompiledProgram& program = program_.value();
+
+  const core::FactSet input = facts(leaf, pool, options);
+  result.facts = input.size();
+  datalog::Session session;
+  session.prepare(program);
+  input.load_into(program, session);
+  result.stats = program.run(session);
+  const Value leaf_id(result.leaf_id);
+  result.ok = !result.stats.truncated &&
+              program.query_holds(session, "accept", {&leaf_id, 1});
   return result;
 }
 

@@ -26,10 +26,12 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "chain/pool.hpp"
 #include "chain/verifier.hpp"
-#include "datalog/engine.hpp"
+#include "core/facts.hpp"
+#include "datalog/compiled.hpp"
 #include "rootstore/store.hpp"
 
 namespace anchor::policy {
@@ -48,10 +50,12 @@ struct PolicyResult {
 class PolicyVerifier {
  public:
   // `policy_source` defaults to default_policy(). The store's trusted roots
-  // become trustedRoot/1 facts; distrusted roots are simply absent.
+  // become trustedRoot/1 facts; distrusted roots are simply absent. The
+  // policy is parsed and compiled here, once; a policy that fails either
+  // step makes every verify() return ok = false.
   PolicyVerifier(const rootstore::RootStore& store,
                  const SignatureScheme& scheme,
-                 std::string policy_source = default_policy());
+                 std::string_view policy_source = default_policy());
 
   // Validates `leaf` against the pool, entirely inside the Datalog engine
   // (aside from signature verification, which feeds issuedBy/2 facts).
@@ -59,10 +63,18 @@ class PolicyVerifier {
                       const chain::CertificatePool& pool,
                       const chain::VerifyOptions& options) const;
 
+  // Every fact verify() evaluates the policy over: certificate and
+  // wildcard facts for the leaf's issuer-DN universe plus the trusted
+  // roots, host facts (now, usage, isLeaf, hostname decomposition,
+  // trustedRoot), distrustedCA and signature-verified issuedBy edges.
+  core::FactSet facts(const x509::CertPtr& leaf,
+                      const chain::CertificatePool& pool,
+                      const chain::VerifyOptions& options) const;
+
  private:
   const rootstore::RootStore& store_;
   const SignatureScheme& scheme_;
-  std::string policy_source_;
+  Result<datalog::CompiledProgram> program_;  // an error fails every verify
 };
 
 }  // namespace anchor::policy

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "datalog/compiled.hpp"
+#include "datalog/parser.hpp"
 #include "util/time.hpp"
 #include "x509/builder.hpp"
 #include "x509/oids.hpp"
@@ -194,14 +196,23 @@ TEST(Facts, ChainIdIsLeafDerived) {
   EXPECT_EQ(chain_id_of({}), "chain-empty");
 }
 
-TEST(Facts, LoadIntoEngineIsQueryable) {
+TEST(Facts, LoadIntoSessionIsQueryable) {
   TestPki pki;
   FactSet facts;
   encode_chain(pki.chain(), "c", facts);
-  datalog::Engine engine;
-  facts.load_into(engine);
-  ASSERT_TRUE(engine.load("evLeaf(C) :- leaf(C, L), ev(L).").ok());
-  EXPECT_TRUE(engine.query("evLeaf(\"c\")?").take().holds());
+  auto program = datalog::CompiledProgram::compile(
+                     datalog::parse_program("evLeaf(C) :- leaf(C, L), ev(L).")
+                         .take())
+                     .take();
+  datalog::Session session;
+  session.prepare(program);
+  // Only leaf/2 and ev/1 facts are loaded: the program mentions nothing
+  // else.
+  EXPECT_EQ(facts.load_into(program, session),
+            count_facts(facts, "leaf") + count_facts(facts, "ev"));
+  program.run(session);
+  const Value chain("c");
+  EXPECT_TRUE(program.query_holds(session, "evLeaf", {&chain, 1}));
 }
 
 TEST(Facts, NonEvCertHasNoEvFact) {

@@ -17,6 +17,7 @@
 #include "core/facts.hpp"
 #include "corpus/corpus.hpp"
 #include "datalog/compiled.hpp"
+#include "datalog/stratify.hpp"
 #include "incidents/listings.hpp"
 #include "preemptive/synthesis.hpp"
 #include "rootstore/constraint_compile.hpp"
@@ -24,7 +25,6 @@
 namespace anchor::core {
 namespace {
 
-using datalog::Database;
 using datalog::EvalStats;
 using datalog::Session;
 using datalog::Tuple;
@@ -138,11 +138,12 @@ struct Outcome {
 
 std::map<std::string, std::vector<Tuple>> decoded(
     const datalog::CompiledProgram& program, const Session& session) {
-  Database db;
-  program.decode_model(session, db);
   std::map<std::string, std::vector<Tuple>> out;
-  for (const auto& [key, relation] : db.relations()) {
-    out[key] = relation.tuples();
+  for (std::size_t r = 0; r < program.num_relations(); ++r) {
+    std::vector<Tuple> tuples = program.tuples(session, static_cast<int>(r));
+    if (tuples.empty()) continue;
+    out[datalog::relation_key(program.relation_predicate(r),
+                              program.relation_arity(r))] = std::move(tuples);
   }
   return out;
 }

@@ -1,7 +1,7 @@
 // Unit tests for the compiled GCC evaluation pipeline: symbol interning,
 // slot-resolved execution, session reuse, fail-closed compile-time checks
-// and parity with the interpreted Evaluator on the corner cases the random
-// differential sweep is unlikely to hit.
+// and parity with the interpreted oracle (tests/oracle) on the corner cases
+// the random differential sweep is unlikely to hit.
 #include "datalog/compiled.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "datalog/parser.hpp"
+#include "oracle/evaluator.hpp"
 
 namespace anchor::datalog {
 namespace {
@@ -25,10 +26,8 @@ std::vector<Tuple> compiled_tuples(const std::string& source,
   session.prepare(compiled.value());
   EvalStats stats = compiled.value().run(session, strategy);
   if (stats_out != nullptr) *stats_out = stats;
-  Database db;
-  compiled.value().decode_model(session, db);
-  std::vector<Tuple> tuples;
-  if (const Relation* rel = db.find(predicate, arity)) tuples = rel->tuples();
+  std::vector<Tuple> tuples = compiled.value().tuples(
+      session, compiled.value().relation_index(predicate, arity));
   std::sort(tuples.begin(), tuples.end());
   return tuples;
 }
@@ -286,10 +285,8 @@ e(1). e(2). p(1, 7).
   Session session;
   session.prepare(compiled);
   compiled.run(session);
-  Database cdb;
-  compiled.decode_model(session, cdb);
-  const Relation* crel = cdb.find("r", 1);
-  const std::size_t compiled_count = crel == nullptr ? 0 : crel->size();
+  const std::size_t compiled_count =
+      compiled.tuples(session, compiled.relation_index("r", 1)).size();
   EXPECT_EQ(compiled_count, interpreted_count);
   EXPECT_EQ(compiled_count, 0u);  // both prune every binding
 }

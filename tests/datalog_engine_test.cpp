@@ -1,75 +1,140 @@
-#include "datalog/engine.hpp"
-
+// Queries against the library's Datalog engine (the compiled pipeline),
+// the way `anchorctl datalog` and the policy verifier use it: compile a
+// program once, assert facts into a Session, run to fixpoint, then ask
+// CompiledProgram::query for bindings (or query_holds for a ground
+// yes/no). Includes the paper's Listings 1 and 2 executed end to end.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/gcc.hpp"
+#include "datalog/compiled.hpp"
+#include "datalog/parser.hpp"
 #include "incidents/listings.hpp"
 
 namespace anchor::datalog {
 namespace {
 
+using Facts = std::vector<std::pair<std::string, Tuple>>;
+
+// One evaluated model. The program is heap-held because the session points
+// at it and the model is moved out of evaluate().
+struct Model {
+  std::unique_ptr<CompiledProgram> program;
+  Session session;
+  EvalStats stats;
+
+  QueryResult query(const Atom& goal) const {
+    return program->query(session, goal);
+  }
+  QueryResult query(std::string_view text) const {
+    auto goal = parse_query(text);
+    EXPECT_TRUE(goal.ok()) << (goal.ok() ? "" : goal.error());
+    return query(goal.value());
+  }
+};
+
+Result<Model> evaluate(const Program& program, const Facts& facts = {}) {
+  auto compiled = CompiledProgram::compile(program);
+  if (!compiled) return err(compiled.error());
+  Model model;
+  model.program =
+      std::make_unique<CompiledProgram>(std::move(compiled).take());
+  model.session.prepare(*model.program);
+  for (const auto& [predicate, tuple] : facts) {
+    model.session.add_fact(
+        model.program->relation_index(predicate, tuple.size()), tuple);
+  }
+  model.stats = model.program->run(model.session);
+  return model;
+}
+
+Result<Model> evaluate(std::string_view source, const Facts& facts = {}) {
+  auto program = parse_program(source);
+  if (!program) return err(program.error());
+  return evaluate(program.value(), facts);
+}
+
+Value n(std::int64_t v) { return Value(v); }
+
 TEST(Engine, GroundQueryHoldsOrNot) {
-  Engine engine;
-  ASSERT_TRUE(engine.load("p(1). p(2).").ok());
-  EXPECT_TRUE(engine.query("p(1)?").take().holds());
-  EXPECT_TRUE(engine.query("p(2)?").take().holds());
-  EXPECT_FALSE(engine.query("p(3)?").take().holds());
-  EXPECT_FALSE(engine.query("q(1)?").take().holds());
+  const Model model = evaluate("p(1). p(2).").take();
+  EXPECT_TRUE(model.query("p(1)?").holds());
+  EXPECT_TRUE(model.query("p(2)?").holds());
+  EXPECT_FALSE(model.query("p(3)?").holds());
+  EXPECT_FALSE(model.query("q(1)?").holds());
+  // A ground query that holds yields one empty binding map.
+  ASSERT_EQ(model.query("p(1)?").bindings.size(), 1u);
+  EXPECT_TRUE(model.query("p(1)?").bindings[0].empty());
 }
 
 TEST(Engine, OpenQueryReturnsBindings) {
-  Engine engine;
-  ASSERT_TRUE(engine.load("e(1,2). e(1,3). e(2,3).").ok());
-  auto result = engine.query("e(1, X)?").take();
+  const Model model = evaluate("e(1,2). e(1,3). e(2,3).").take();
+  auto result = model.query("e(1, X)?");
   ASSERT_EQ(result.bindings.size(), 2u);
-  for (const auto& binding : result.bindings) {
-    EXPECT_TRUE(binding.contains("X"));
-  }
+  EXPECT_EQ(result.bindings[0].at("X"), n(2));
+  EXPECT_EQ(result.bindings[1].at("X"), n(3));
 }
 
 TEST(Engine, RepeatedVariableInQuery) {
-  Engine engine;
-  ASSERT_TRUE(engine.load("e(1,1). e(1,2).").ok());
-  auto result = engine.query("e(X, X)?").take();
-  EXPECT_EQ(result.bindings.size(), 1u);
+  const Model model = evaluate("e(1,1). e(1,2). e(3,3).").take();
+  auto result = model.query("e(X, X)?");
+  ASSERT_EQ(result.bindings.size(), 2u);
+  EXPECT_EQ(result.bindings[0].at("X"), n(1));
+  EXPECT_EQ(result.bindings[1].at("X"), n(3));
+}
+
+TEST(Engine, WildcardsAndUnknownValues) {
+  const Model model = evaluate("e(1,2). e(2,2). e(2,3).").take();
+  EXPECT_EQ(model.query("e(_, 2)?").bindings.size(), 2u);
+  EXPECT_EQ(model.query("e(_, _)?").bindings.size(), 3u);
+  // A constant the model never saw, and a known predicate at another arity.
+  EXPECT_FALSE(model.query("e(9, X)?").holds());
+  EXPECT_FALSE(model.query("e(X)?").holds());
 }
 
 TEST(Engine, FactsAddedProgrammatically) {
-  Engine engine;
-  ASSERT_TRUE(engine.load("big(X) :- n(X), X > 10.").ok());
-  engine.add_fact("n", {Value(std::int64_t{5})});
-  engine.add_fact("n", {Value(std::int64_t{50})});
-  auto result = engine.query("big(X)?").take();
+  const Model model = evaluate("big(X) :- n(X), X > 10.",
+                               {{"n", {n(5)}}, {"n", {n(50)}}})
+                          .take();
+  auto result = model.query("big(X)?");
   ASSERT_EQ(result.bindings.size(), 1u);
-  EXPECT_EQ(result.bindings[0].at("X"), Value(std::int64_t{50}));
+  EXPECT_EQ(result.bindings[0].at("X"), n(50));
 }
 
-TEST(Engine, FactsAfterQueryTriggerReevaluation) {
-  Engine engine;
-  ASSERT_TRUE(engine.load("r(X) :- n(X).").ok());
-  engine.add_fact("n", {Value(std::int64_t{1})});
-  EXPECT_EQ(engine.query("r(X)?").take().bindings.size(), 1u);
-  engine.add_fact("n", {Value(std::int64_t{2})});
-  EXPECT_EQ(engine.query("r(X)?").take().bindings.size(), 2u);
+TEST(Engine, ReusedSessionSeesOnlyItsNewFacts) {
+  auto compiled =
+      CompiledProgram::compile(parse_program("r(X) :- n(X).").take()).take();
+  auto count = [&compiled](Session& session) {
+    compiled.run(session);
+    return compiled.query(session, parse_query("r(X)?").take())
+        .bindings.size();
+  };
+  const int rel = compiled.relation_index("n", 1);
+  Session session;
+  session.prepare(compiled);
+  session.add_fact(rel, std::vector<Value>{n(1)});
+  EXPECT_EQ(count(session), 1u);
+  session.prepare(compiled);
+  session.add_fact(rel, std::vector<Value>{n(1)});
+  session.add_fact(rel, std::vector<Value>{n(2)});
+  EXPECT_EQ(count(session), 2u);
 }
 
 TEST(Engine, LoadErrorsPropagate) {
-  Engine engine;
-  EXPECT_FALSE(engine.load("p(X :-").ok());
+  EXPECT_FALSE(evaluate("p(X :-").ok());
 }
 
-TEST(Engine, UnsafeProgramFailsAtQueryTime) {
-  Engine engine;
-  ASSERT_TRUE(engine.load("p(X, Y) :- q(X).").ok());  // parses fine
-  auto result = engine.query("p(1, 2)?");
-  EXPECT_FALSE(result.ok());
-  EXPECT_NE(result.error().find("unsafe"), std::string::npos);
+TEST(Engine, UnsafeProgramFailsToCompile) {
+  ASSERT_TRUE(parse_program("p(X, Y) :- q(X).").ok());  // parses fine
+  auto model = evaluate("p(X, Y) :- q(X).");
+  ASSERT_FALSE(model.ok());
+  EXPECT_NE(model.error().find("unsafe"), std::string::npos);
 }
 
-TEST(Engine, UnstratifiableProgramFailsAtQueryTime) {
-  Engine engine;
-  ASSERT_TRUE(engine.load("p(X) :- e(X), \\+q(X). q(X) :- e(X), \\+p(X).").ok());
-  EXPECT_FALSE(engine.query("p(1)?").ok());
+TEST(Engine, UnstratifiableProgramFailsToCompile) {
+  EXPECT_FALSE(
+      evaluate("p(X) :- e(X), \\+q(X). q(X) :- e(X), \\+p(X).").ok());
 }
 
 // --- The paper's Listing 1, executed end to end ------------------------------
@@ -77,14 +142,16 @@ TEST(Engine, UnstratifiableProgramFailsAtQueryTime) {
 class Listing1Test : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_TRUE(engine_.load(incidents::listing1_trustcor()).ok());
+    auto program = parse_program(incidents::listing1_trustcor());
+    ASSERT_TRUE(program.ok()) << program.error();
+    program_ = std::move(program).take();
   }
 
   void add_leaf(const std::string& chain, const std::string& cert,
                 std::int64_t not_before, bool ev) {
-    engine_.add_fact("leaf", {Value(chain), Value(cert)});
-    engine_.add_fact("notBefore", {Value(cert), Value(not_before)});
-    if (ev) engine_.add_fact("EV", {Value(cert)});
+    facts_.push_back({"leaf", {Value(chain), Value(cert)}});
+    facts_.push_back({"notBefore", {Value(cert), Value(not_before)}});
+    if (ev) facts_.push_back({"EV", {Value(cert)}});
   }
 
   bool valid(const std::string& chain, const std::string& usage) {
@@ -92,11 +159,12 @@ class Listing1Test : public ::testing::Test {
     goal.predicate = "valid";
     goal.args.push_back(Term::constant_of(Value(chain)));
     goal.args.push_back(Term::constant_of(Value(usage)));
-    return engine_.query(goal).take().holds();
+    return evaluate(program_, facts_).take().query(goal).holds();
   }
 
   static constexpr std::int64_t kCutoff = 1669784400;  // Nov 30 2022
-  Engine engine_;
+  Program program_;
+  Facts facts_;
 };
 
 TEST_F(Listing1Test, OldSmimeLeafValid) {
@@ -129,75 +197,58 @@ TEST_F(Listing1Test, BoundaryInstantIsInvalid) {
 
 // --- The paper's Listing 2 ---------------------------------------------------
 
-// Listing 2 writes `valid(Chain, _)` — a head wildcard the raw engine
-// rightly rejects as unsafe. The GCC layer expands it over the usage
-// domain, so the fixture loads the expanded program a Gcc carries.
+// Listing 2 writes `valid(Chain, _)` — a head wildcard the compiler
+// rightly rejects. The GCC layer expands it over the usage domain, so the
+// fixture evaluates the expanded program a Gcc carries.
 class Listing2Test : public ::testing::Test {
  protected:
   void SetUp() override {
     auto gcc = core::Gcc::create("listing2", std::string(64, 'a'),
                                  incidents::listing2_symantec({"exempthash1"}));
     ASSERT_TRUE(gcc.ok()) << gcc.error();
-    engine_.add_program(gcc.value().program());
+    program_ = gcc.value().program();
+  }
+
+  bool valid(const std::string& usage_query) {
+    return evaluate(program_, facts_).take().query(usage_query).holds();
   }
 
   static constexpr std::int64_t kCutoff = 1464753600;  // June 1 2016
-  Engine engine_;
+  Program program_;
+  Facts facts_;
 };
 
 TEST_F(Listing2Test, OldLeafValidForAnyUsage) {
-  engine_.add_fact("leaf", {Value("c"), Value("leafcert")});
-  engine_.add_fact("notBefore", {Value("leafcert"), Value(kCutoff - 5)});
-  EXPECT_TRUE(engine_.query("valid(\"c\", \"TLS\")?").take().holds());
-  EXPECT_TRUE(engine_.query("valid(\"c\", \"S/MIME\")?").take().holds());
+  facts_ = {{"leaf", {Value("c"), Value("leafcert")}},
+            {"notBefore", {Value("leafcert"), Value(kCutoff - 5)}}};
+  EXPECT_TRUE(valid("valid(\"c\", \"TLS\")?"));
+  EXPECT_TRUE(valid("valid(\"c\", \"S/MIME\")?"));
 }
 
 TEST_F(Listing2Test, NewLeafUnderOrdinaryIntermediateInvalid) {
-  engine_.add_fact("leaf", {Value("c"), Value("leafcert")});
-  engine_.add_fact("notBefore", {Value("leafcert"), Value(kCutoff + 5)});
-  engine_.add_fact("root", {Value("c"), Value("rootcert")});
-  engine_.add_fact("signs", {Value("rootcert"), Value("intcert")});
-  engine_.add_fact("hash", {Value("intcert"), Value("ordinaryhash")});
-  EXPECT_FALSE(engine_.query("valid(\"c\", \"TLS\")?").take().holds());
+  facts_ = {{"leaf", {Value("c"), Value("leafcert")}},
+            {"notBefore", {Value("leafcert"), Value(kCutoff + 5)}},
+            {"root", {Value("c"), Value("rootcert")}},
+            {"signs", {Value("rootcert"), Value("intcert")}},
+            {"hash", {Value("intcert"), Value("ordinaryhash")}}};
+  EXPECT_FALSE(valid("valid(\"c\", \"TLS\")?"));
 }
 
 TEST_F(Listing2Test, NewLeafUnderExemptIntermediateValid) {
-  engine_.add_fact("leaf", {Value("c"), Value("leafcert")});
-  engine_.add_fact("notBefore", {Value("leafcert"), Value(kCutoff + 5)});
-  engine_.add_fact("root", {Value("c"), Value("rootcert")});
-  engine_.add_fact("signs", {Value("rootcert"), Value("intcert")});
-  engine_.add_fact("hash", {Value("intcert"), Value("exempthash1")});
-  EXPECT_TRUE(engine_.query("valid(\"c\", \"TLS\")?").take().holds());
+  facts_ = {{"leaf", {Value("c"), Value("leafcert")}},
+            {"notBefore", {Value("leafcert"), Value(kCutoff + 5)}},
+            {"root", {Value("c"), Value("rootcert")}},
+            {"signs", {Value("rootcert"), Value("intcert")}},
+            {"hash", {Value("intcert"), Value("exempthash1")}}};
+  EXPECT_TRUE(valid("valid(\"c\", \"TLS\")?"));
 }
 
 TEST(EngineStats, ModelSizeGrowsWithFacts) {
-  Engine engine;
-  ASSERT_TRUE(engine.load("r(X) :- n(X).").ok());
-  engine.add_fact("n", {Value(std::int64_t{1})});
-  engine.add_fact("n", {Value(std::int64_t{2})});
-  ASSERT_TRUE(engine.query("r(1)?").ok());
-  EXPECT_EQ(engine.model_size(), 4u);  // 2 facts + 2 derived
-  EXPECT_EQ(engine.stats().derived_tuples, 2u);
-}
-
-TEST(EngineStats, InterleavedFactQueryCyclesCompileOnce) {
-  // Regression: every add_fact/query cycle used to re-run Evaluator::create
-  // (stratification + safety + body ordering) on the unchanged program,
-  // making N interleaved cycles quadratic. The evaluator must be cached
-  // until the program itself changes.
-  Engine engine;
-  ASSERT_TRUE(engine.load("r(X) :- n(X).").ok());
-  for (std::int64_t i = 0; i < 10; ++i) {
-    engine.add_fact("n", {Value(i)});
-    ASSERT_TRUE(engine.query("r(X)?").ok());
-  }
-  EXPECT_EQ(engine.recompiles(), 1u);
-  EXPECT_EQ(engine.query("r(X)?").take().bindings.size(), 10u);
-
-  // Loading more clauses invalidates the cached compilation.
-  ASSERT_TRUE(engine.load("s(X) :- r(X).").ok());
-  ASSERT_TRUE(engine.query("s(X)?").ok());
-  EXPECT_EQ(engine.recompiles(), 2u);
+  const Model model =
+      evaluate("r(X) :- n(X).", {{"n", {n(1)}}, {"n", {n(2)}}}).take();
+  EXPECT_TRUE(model.query("r(1)?").holds());
+  EXPECT_EQ(model.session.total_tuples(), 4u);  // 2 facts + 2 derived
+  EXPECT_EQ(model.stats.derived_tuples, 2u);
 }
 
 }  // namespace

@@ -1,4 +1,7 @@
-#include "datalog/eval.hpp"
+// Unit tests for the interpreted evaluator kept as the test oracle
+// (tests/oracle): the compiled pipeline is pinned against it, so its own
+// semantics are pinned here.
+#include "oracle/evaluator.hpp"
 
 #include <gtest/gtest.h>
 

@@ -1,15 +1,15 @@
 // Randomized differential testing of the Datalog engine: for generated
 // EDBs over a family of rule templates (recursion, mutual recursion,
 // stratified negation, arithmetic), the semi-naive and naive strategies
-// must compute identical models, and evaluation must be insensitive to
-// fact insertion order.
+// must compute identical models, evaluation must be insensitive to fact
+// insertion order, and the compiled pipeline must derive exactly what the
+// interpreted oracle (tests/oracle) derives.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "datalog/compiled.hpp"
-#include "datalog/eval.hpp"
 #include "datalog/parser.hpp"
+#include "oracle/evaluator.hpp"
+#include "oracle/model.hpp"
 #include "util/rng.hpp"
 
 namespace anchor::datalog {
@@ -54,28 +54,20 @@ reach(X,Z) :- reach(X,Y), edge(Y,Z).
 unreach(X,Y) :- node(X), node(Y), \+reach(X,Y).)",
 };
 
-std::vector<std::pair<std::string, std::vector<Tuple>>> full_model(
-    const std::string& source, Strategy strategy) {
+SortedModel full_model(const std::string& source, Strategy strategy) {
   auto program = parse_program(source);
   EXPECT_TRUE(program.ok()) << (program.ok() ? "" : program.error());
   auto evaluator = Evaluator::create(program.value(), strategy);
   EXPECT_TRUE(evaluator.ok()) << (evaluator.ok() ? "" : evaluator.error());
   Database db;
   evaluator.value().run(db);
-  std::vector<std::pair<std::string, std::vector<Tuple>>> model;
-  for (const auto& [key, relation] : db.relations()) {
-    std::vector<Tuple> tuples = relation.tuples();
-    std::sort(tuples.begin(), tuples.end());
-    model.emplace_back(key, std::move(tuples));
-  }
-  std::sort(model.begin(), model.end());
-  return model;
+  return sorted_model(db);
 }
 
 // The same model computed through the compiled pipeline (interning + slot
-// resolution), decoded back into a legacy Database for comparison.
-std::vector<std::pair<std::string, std::vector<Tuple>>> compiled_model(
-    const std::string& source, Strategy strategy, Session& session) {
+// resolution), decoded back into an oracle Database for comparison.
+SortedModel compiled_model(const std::string& source, Strategy strategy,
+                           Session& session) {
   auto program = parse_program(source);
   EXPECT_TRUE(program.ok()) << (program.ok() ? "" : program.error());
   auto compiled = CompiledProgram::compile(program.value());
@@ -83,15 +75,8 @@ std::vector<std::pair<std::string, std::vector<Tuple>>> compiled_model(
   session.prepare(compiled.value());
   compiled.value().run(session, strategy);
   Database db;
-  compiled.value().decode_model(session, db);
-  std::vector<std::pair<std::string, std::vector<Tuple>>> model;
-  for (const auto& [key, relation] : db.relations()) {
-    std::vector<Tuple> tuples = relation.tuples();
-    std::sort(tuples.begin(), tuples.end());
-    model.emplace_back(key, std::move(tuples));
-  }
-  std::sort(model.begin(), model.end());
-  return model;
+  decode_model(compiled.value(), session, db);
+  return sorted_model(db);
 }
 
 struct RandomCase {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "datalog/database.hpp"
 #include "datalog/parser.hpp"
 
 namespace anchor::datalog {

@@ -1,10 +1,8 @@
-#include "datalog/database.hpp"
+#include "oracle/database.hpp"
+
+#include "datalog/stratify.hpp"
 
 namespace anchor::datalog {
-
-std::string relation_key(const std::string& predicate, std::size_t arity) {
-  return predicate + "/" + std::to_string(arity);
-}
 
 bool Relation::insert(Tuple tuple) {
   auto [it, inserted] = set_.insert(tuple);

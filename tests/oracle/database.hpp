@@ -1,7 +1,8 @@
-// Fact storage for bottom-up evaluation. Relations are keyed by
-// "predicate/arity"; each relation deduplicates tuples and maintains a
-// first-argument hash index, which is the access pattern GCC programs
-// overwhelmingly use (facts are keyed by certificate id).
+// Fact storage for the interpreted test oracle (oracle/evaluator.hpp).
+// Relations are keyed by "predicate/arity"; each relation deduplicates
+// tuples and maintains a first-argument hash index, which is the access
+// pattern GCC programs overwhelmingly use (facts are keyed by certificate
+// id).
 #pragma once
 
 #include <cstdint>
@@ -13,8 +14,6 @@
 #include "datalog/value.hpp"
 
 namespace anchor::datalog {
-
-std::string relation_key(const std::string& predicate, std::size_t arity);
 
 class Relation {
  public:

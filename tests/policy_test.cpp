@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include "corpus/corpus.hpp"
+#include "datalog/parser.hpp"
 #include "incidents/incidents.hpp"
+#include "oracle/evaluator.hpp"
+#include "oracle/model.hpp"
 #include "util/time.hpp"
 #include "x509/builder.hpp"
 #include "x509/oids.hpp"
@@ -241,21 +244,25 @@ TEST(PolicyVerifierTest, CustomPolicyReplacesDefault) {
 // same accept-if-any-path semantics as the procedural graph search. (This
 // was the documented divergence of the old set-based encoding, which
 // condemned the leaf if ANY reachable CA violated a constraint.)
+//
+// Cross-signs "Pol Int" under the name-constrained intermediate: a leaf
+// under it then has two issuer certs for DN "Pol Int": one clean (under
+// root), one whose path crosses the NC intermediate.
+void add_nc_cross_sign(PolicyPki& pki) {
+  pki.pool.add(CertificateBuilder()
+                   .serial(50)
+                   .subject(DistinguishedName::make("Pol Int", "T"))
+                   .issuer(pki.nc_int->subject())
+                   .validity(0, unix_date(2039, 1, 1))
+                   .public_key(pki.int_key.key_id)
+                   .ca(std::nullopt)
+                   .sign(pki.nc_key)
+                   .take());
+}
+
 TEST(PolicyVerifierTest, CrossSigningAgreement) {
   PolicyPki pki;
-  // Cross-sign "Pol Int" under the name-constrained intermediate: the leaf
-  // now has two issuer certs for DN "Pol Int": one clean (under root), one
-  // whose path crosses the NC intermediate.
-  CertPtr cross = CertificateBuilder()
-                      .serial(50)
-                      .subject(DistinguishedName::make("Pol Int", "T"))
-                      .issuer(pki.nc_int->subject())
-                      .validity(0, unix_date(2039, 1, 1))
-                      .public_key(pki.int_key.key_id)
-                      .ca(std::nullopt)
-                      .sign(pki.nc_key)
-                      .take();
-  pki.pool.add(cross);
+  add_nc_cross_sign(pki);
 
   CertPtr leaf = pki.leaf("site.example.net", pki.int_key, pki.intermediate);
   chain::ChainVerifier procedural(pki.store, pki.sigs);
@@ -285,44 +292,169 @@ TEST(PolicyVerifierTest, CrossSignResurrectionRejectedByBothVerifiers) {
   }
 }
 
+// A corpus sample: every third leaf, up to 60, half verified in-window and
+// half at a time many leaves are expired, so both verdicts occur.
+struct CorpusCase {
+  CertPtr leaf;
+  chain::VerifyOptions options;
+  std::string label;
+};
+
+struct PolicyCorpus {
+  corpus::Corpus corpus;
+  rootstore::RootStore store;
+  chain::CertificatePool pool;
+  std::vector<CorpusCase> cases;
+
+  PolicyCorpus()
+      : corpus([] {
+          corpus::CorpusConfig config;
+          config.num_roots = 12;
+          config.num_intermediates = 30;
+          config.roots_with_path_len = 1;
+          config.intermediates_with_path_len = 25;
+          config.intermediates_with_name_constraints = 3;
+          config.roots_with_constrained_chain = 2;
+          config.leaves_per_intermediate_mean = 5.0;
+          return corpus::Corpus::generate(config);
+        }()),
+        store(corpus.make_root_store()),
+        pool(corpus.intermediate_pool()) {
+    for (std::size_t i = 0; i < corpus.leaves().size() && cases.size() < 60;
+         i += 3) {
+      const auto& record = corpus.leaves()[i];
+      chain::VerifyOptions options;
+      options.time =
+          (cases.size() % 2 == 0)
+              ? (record.cert->not_before() + record.cert->not_after()) / 2
+              : corpus.config().time_origin - 86400;
+      options.usage = record.smime ? chain::Usage::kSmime : chain::Usage::kTls;
+      if (!record.smime) options.hostname = record.domain;
+      cases.push_back({record.cert, options,
+                       record.domain + " at t=" +
+                           std::to_string(options.time)});
+    }
+  }
+};
+
+const PolicyCorpus& policy_corpus() {
+  static const PolicyCorpus instance;
+  return instance;
+}
+
 // Sweep the shared corpus: on tree-shaped issuance both verifiers agree on
 // every sampled leaf (accept and reject cases both occur in the sample).
 TEST(PolicyVerifierTest, CorpusDifferentialAgreement) {
-  corpus::CorpusConfig config;
-  config.num_roots = 12;
-  config.num_intermediates = 30;
-  config.roots_with_path_len = 1;
-  config.intermediates_with_path_len = 25;
-  config.intermediates_with_name_constraints = 3;
-  config.roots_with_constrained_chain = 2;
-  config.leaves_per_intermediate_mean = 5.0;
-  corpus::Corpus corpus = corpus::Corpus::generate(config);
+  const PolicyCorpus& pc = policy_corpus();
+  chain::ChainVerifier procedural(pc.store, pc.corpus.signatures());
+  PolicyVerifier logical(pc.store, pc.corpus.signatures());
 
-  rootstore::RootStore store = corpus.make_root_store();
-  chain::CertificatePool pool = corpus.intermediate_pool();
-  chain::ChainVerifier procedural(store, corpus.signatures());
-  PolicyVerifier logical(store, corpus.signatures());
-
-  std::size_t checked = 0;
   std::size_t accepts = 0;
-  for (std::size_t i = 0; i < corpus.leaves().size() && checked < 60; i += 3) {
-    const auto& record = corpus.leaves()[i];
-    chain::VerifyOptions options;
-    // Half in-window, half at a time many leaves are expired.
-    options.time = (checked % 2 == 0)
-                       ? (record.cert->not_before() + record.cert->not_after()) / 2
-                       : corpus.config().time_origin - 86400;
-    options.usage = record.smime ? chain::Usage::kSmime : chain::Usage::kTls;
-    if (!record.smime) options.hostname = record.domain;
-    bool proc = procedural.verify(record.cert, pool, options).ok;
-    bool log = logical.verify(record.cert, pool, options).ok;
-    EXPECT_EQ(proc, log) << record.domain << " at t=" << options.time;
+  for (const CorpusCase& c : pc.cases) {
+    bool proc = procedural.verify(c.leaf, pc.pool, c.options).ok;
+    bool log = logical.verify(c.leaf, pc.pool, c.options).ok;
+    EXPECT_EQ(proc, log) << c.label;
     accepts += proc;
-    ++checked;
   }
-  EXPECT_GT(checked, 40u);
+  EXPECT_GT(pc.cases.size(), 40u);
   EXPECT_GT(accepts, 0u);
-  EXPECT_LT(accepts, checked);  // both verdicts exercised
+  EXPECT_LT(accepts, pc.cases.size());  // both verdicts exercised
+}
+
+// --- Policy parity pin -------------------------------------------------------
+//
+// The compiled PolicyVerifier against the interpreted oracle, run over the
+// very FactSet verify() evaluates (PolicyVerifier::facts): same verdict,
+// same EvalStats. Returns the verdict.
+bool expect_oracle_parity(const PolicyVerifier& logical, const CertPtr& leaf,
+                          const chain::CertificatePool& pool,
+                          const chain::VerifyOptions& options,
+                          const std::string& label) {
+  static const datalog::Program policy =
+      datalog::parse_program(default_policy()).take();
+  const PolicyResult compiled = logical.verify(leaf, pool, options);
+
+  const core::FactSet facts = logical.facts(leaf, pool, options);
+  EXPECT_EQ(compiled.facts, facts.size()) << label;
+  datalog::Database db;
+  datalog::load_facts(facts, db);
+  const datalog::EvalStats oracle =
+      datalog::Evaluator::create(policy).take().run(db);
+  const datalog::Relation* accept = db.find("accept", 1);
+  const bool oracle_ok =
+      accept != nullptr &&
+      accept->contains({datalog::Value(leaf->fingerprint_hex())});
+
+  EXPECT_EQ(compiled.ok, oracle_ok) << label;
+  EXPECT_EQ(compiled.stats.iterations, oracle.iterations) << label;
+  EXPECT_EQ(compiled.stats.rule_applications, oracle.rule_applications)
+      << label;
+  EXPECT_EQ(compiled.stats.derived_tuples, oracle.derived_tuples) << label;
+  EXPECT_FALSE(oracle.truncated || oracle.errored) << label;
+  return compiled.ok;
+}
+
+TEST(PolicyParityPin, CorpusLeavesMatchOracle) {
+  const PolicyCorpus& pc = policy_corpus();
+  PolicyVerifier logical(pc.store, pc.corpus.signatures());
+  std::size_t accepts = 0;
+  for (const CorpusCase& c : pc.cases) {
+    accepts += expect_oracle_parity(logical, c.leaf, pc.pool, c.options,
+                                    c.label);
+  }
+  EXPECT_GT(accepts, 0u);
+  EXPECT_LT(accepts, pc.cases.size());
+}
+
+TEST(PolicyParityPin, CrossSignFixturesMatchOracle) {
+  PolicyPki pki;
+  add_nc_cross_sign(pki);
+  PolicyVerifier logical(pki.store, pki.sigs);
+  EXPECT_TRUE(expect_oracle_parity(
+      logical, pki.leaf("site.example.net", pki.int_key, pki.intermediate),
+      pki.pool, pki.tls("site.example.net"), "nc cross-sign"));
+
+  incidents::Incident incident = incidents::make_cross_sign();
+  PolicyVerifier bane(incident.store, incident.signatures);
+  for (const auto& test_case : incident.cases) {
+    EXPECT_EQ(expect_oracle_parity(bane, test_case.leaf, incident.pool,
+                                   test_case.options, test_case.label),
+              test_case.expect_valid)
+        << test_case.label;
+  }
+}
+
+// A policy that fails to parse or compile rejects every leaf, including
+// those the default policy accepts. The wildcard head is one only the
+// compiler refuses: the oracle would admit it and fail at run time.
+TEST(PolicyParityPin, PolicyThatFailsToCompileRejectsEveryLeaf) {
+  PolicyPki pki;
+  const std::vector<std::pair<CertPtr, std::string>> leaves = {
+      {pki.leaf("ok.example.org", pki.int_key, pki.intermediate),
+       "ok.example.org"},
+      {pki.leaf("ok.example.com", pki.nc_key, pki.nc_int), "ok.example.com"}};
+  PolicyVerifier good(pki.store, pki.sigs);
+  for (const auto& [leaf, host] : leaves) {
+    ASSERT_TRUE(good.verify(leaf, pki.pool, pki.tls(host)).ok) << host;
+  }
+
+  for (const char* broken : {
+           "accept(L) :- isLeaf(",     // parse error
+           "accept(L) :- isLeaf(X).",  // unsafe
+           // unstratifiable: negation through recursion
+           "accept(L) :- isLeaf(L), \\+p(L). "
+           "p(L) :- isLeaf(L), \\+accept(L).",
+           "accept(_) :- isLeaf(L).",  // wildcard head
+       }) {
+    auto program = datalog::parse_program(broken);
+    EXPECT_FALSE(program.ok() &&
+                 datalog::CompiledProgram::compile(program.value()).ok())
+        << broken;
+    PolicyVerifier logical(pki.store, pki.sigs, broken);
+    for (const auto& [leaf, host] : leaves) {
+      EXPECT_FALSE(logical.verify(leaf, pki.pool, pki.tls(host)).ok) << broken;
+    }
+  }
 }
 
 }  // namespace

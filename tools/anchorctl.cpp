@@ -110,7 +110,8 @@
 #include "chain/verifier.hpp"
 #include "core/executor.hpp"
 #include "core/facts.hpp"
-#include "datalog/engine.hpp"
+#include "datalog/compiled.hpp"
+#include "datalog/parser.hpp"
 #include "rootstore/chromeproto.hpp"
 #include "rootstore/constraint_compile.hpp"
 #include "revocation/crlite.hpp"
@@ -360,21 +361,33 @@ int cmd_datalog(int argc, char** argv) {
     std::fprintf(stderr, "error: --query required\n");
     return 2;
   }
-  datalog::Engine engine;
-  if (Status s = engine.load(source.value()); !s) {
-    std::fprintf(stderr, "error: %s\n", s.error().c_str());
+  auto program = datalog::parse_program(source.value());
+  if (!program) {
+    std::fprintf(stderr, "error: %s\n", program.error().c_str());
     return 1;
   }
-  auto result = engine.query(query);
-  if (!result) {
-    std::fprintf(stderr, "error: %s\n", result.error().c_str());
+  // Unsafe or unstratifiable programs are rejected here, before any
+  // evaluation.
+  auto compiled = datalog::CompiledProgram::compile(program.value());
+  if (!compiled) {
+    std::fprintf(stderr, "error: %s\n", compiled.error().c_str());
     return 1;
   }
-  if (result.value().bindings.empty()) {
+  auto goal = datalog::parse_query(query);
+  if (!goal) {
+    std::fprintf(stderr, "error: %s\n", goal.error().c_str());
+    return 1;
+  }
+  datalog::Session session;
+  session.prepare(compiled.value());
+  compiled.value().run(session);
+  const datalog::QueryResult result =
+      compiled.value().query(session, goal.value());
+  if (result.bindings.empty()) {
     std::printf("no.\n");
     return 1;
   }
-  for (const auto& binding : result.value().bindings) {
+  for (const auto& binding : result.bindings) {
     if (binding.empty()) {
       std::printf("yes.\n");
       continue;
