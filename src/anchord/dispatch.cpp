@@ -37,15 +37,25 @@ bool parse_usage(const Request& request, chain::VerifyOptions& options) {
   return false;
 }
 
-chain::VerifyOptions options_from(const Request& request) {
-  chain::VerifyOptions options;
+// Maps a verify or verify-batch request onto VerifyOptions, or returns why
+// neither verb accepts it.
+std::optional<std::string> verify_options(const Request& request,
+                                          chain::VerifyOptions& options) {
   options.time = request.time;
   options.hostname = request.hostname;
   options.max_depth = request.max_depth;
   options.require_ev = request.require_ev;
   options.check_signatures = request.check_signatures;
   options.run_gccs = request.run_gccs;
-  return options;
+  if (!parse_usage(request, options)) {
+    return "unknown usage '" + request.usage + "'";
+  }
+  if (request.max_depth > kMaxRequestDepth) {
+    return "max_depth " + std::to_string(request.max_depth) +
+           " exceeds the protocol limit of " +
+           std::to_string(kMaxRequestDepth);
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -81,10 +91,10 @@ Response VerbDispatcher::do_verify(const Request& request) {
     return fail(request, chain::ErrorKind::kMalformedRequest,
                 "verify: empty leaf certificate");
   }
-  chain::VerifyOptions options = options_from(request);
-  if (!parse_usage(request, options)) {
+  chain::VerifyOptions options;
+  if (auto problem = verify_options(request, options)) {
     return fail(request, chain::ErrorKind::kMalformedRequest,
-                "verify: unknown usage '" + request.usage + "'");
+                "verify: " + *problem);
   }
 
   return verify_response(request,
@@ -97,9 +107,9 @@ std::optional<Response> VerbDispatcher::dispatch_if_cached(
     const Request& request) {
   // Anything do_verify would reject goes through dispatch() for its
   // classified answer; only the verify proper is worth a cache probe.
-  chain::VerifyOptions options = options_from(request);
+  chain::VerifyOptions options;
   if (request.verb != Verb::kVerify || request.leaf_der.empty() ||
-      !parse_usage(request, options)) {
+      verify_options(request, options).has_value()) {
     return std::nullopt;
   }
   std::optional<chain::VerifyResult> result =
@@ -132,10 +142,10 @@ Response VerbDispatcher::do_batch(const Request& request) {
     return fail(request, chain::ErrorKind::kMalformedRequest,
                 "verify-batch: empty batch");
   }
-  chain::VerifyOptions options = options_from(request);
-  if (!parse_usage(request, options)) {
+  chain::VerifyOptions options;
+  if (auto problem = verify_options(request, options)) {
     return fail(request, chain::ErrorKind::kMalformedRequest,
-                "verify-batch: unknown usage '" + request.usage + "'");
+                "verify-batch: " + *problem);
   }
 
   std::vector<Bytes> leaf_ders;

@@ -63,6 +63,12 @@ struct BatchEntry {
   bool operator==(const BatchEntry&) const = default;
 };
 
+// The largest max_depth a verify or verify-batch request may carry (twice
+// the default): the verifier's link-check budget is max_paths × max_depth,
+// so the protocol caps the client's factor. A deeper request is
+// kMalformedRequest.
+constexpr std::uint32_t kMaxRequestDepth = 16;
+
 struct Request {
   std::uint64_t correlation_id = 0;
   Verb verb = Verb::kVerify;
@@ -70,7 +76,7 @@ struct Request {
   // other token is kMalformedRequest); ignored by the observability verbs.
   std::string usage;
   std::int64_t time = 0;           // validation instant (Unix seconds)
-  std::uint32_t max_depth = 8;
+  std::uint32_t max_depth = 8;     // at most kMaxRequestDepth
   bool require_ev = false;
   bool check_signatures = true;
   bool run_gccs = true;

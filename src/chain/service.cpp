@@ -149,6 +149,7 @@ VerifyService::VerifyService(rootstore::RootStore& store,
       m_calls_(registry.counter("anchor_verify_calls_total")),
       m_epoch_flushes_(registry.counter("anchor_verify_epoch_flushes_total")),
       m_stale_purged_(registry.counter("anchor_verify_stale_purged_total")),
+      m_truncated_(registry.counter("anchor_verify_truncated_total")),
       m_latency_(registry.histogram("anchor_verify_latency_seconds")),
       m_queue_depth_(registry.gauge("anchor_verify_queue_depth")),
       m_epoch_(registry.gauge("anchor_verify_epoch")) {
@@ -271,6 +272,7 @@ VerifyResult VerifyService::verify_on(const Snapshot& snapshot,
   calls_.fetch_add(1, std::memory_order_relaxed);
   total_ns_.fetch_add(elapsed, std::memory_order_relaxed);
   m_calls_.add();
+  if (result.truncated) m_truncated_.add();
   m_latency_.observe(static_cast<double>(elapsed) * 1e-9);
   return result;
 }

@@ -274,6 +274,7 @@ class VerifyService {
   metrics::Counter& m_calls_;
   metrics::Counter& m_epoch_flushes_;
   metrics::Counter& m_stale_purged_;
+  metrics::Counter& m_truncated_;  // verifies stopped by the search budget
   metrics::Histogram& m_latency_;
   metrics::Gauge& m_queue_depth_;
   metrics::Gauge& m_epoch_;

@@ -1,8 +1,7 @@
 #include "chain/verifier.hpp"
 
-#include <functional>
-#include <set>
-#include <unordered_set>
+#include <algorithm>
+#include <limits>
 
 #include "revocation/crlite.hpp"
 #include "x509/oids.hpp"
@@ -33,12 +32,6 @@ ChainVerifier::ChainVerifier(const rootstore::StoreReader& store,
     revocation_.push_back(std::move(filter));
   }
 }
-
-struct ChainVerifier::SearchState {
-  core::Chain path;  // leaf-first
-  std::unordered_set<Sha256::Digest, DigestHash> visited;
-  const CertificatePool* pool = nullptr;
-};
 
 namespace {
 
@@ -91,6 +84,34 @@ void record_rejection(VerifyResult& result, const core::Chain& chain,
     rejected.subjects.push_back(cert->subject().common_name());
   }
   result.rejected_paths.push_back(std::move(rejected));
+}
+
+// One certificate's place on the search path: the candidates for its
+// issuer not yet tried — trusted anchors first, then pooled certificates
+// node by node.
+struct Cursor {
+  std::span<const rootstore::RootEntry* const> anchors;
+  std::size_t anchor = 0;
+  std::vector<const GraphNode*> nodes;
+  std::size_t node = 0;
+  std::size_t cert = 0;  // next member of nodes[node]
+};
+
+// The search's step budget: max_paths × max_depth link checks, saturating.
+std::size_t max_link_checks(const VerifyOptions& options) {
+  if (options.max_depth != 0 &&
+      options.max_paths >
+          std::numeric_limits<std::size_t>::max() / options.max_depth) {
+    return std::numeric_limits<std::size_t>::max();
+  }
+  return options.max_paths * options.max_depth;
+}
+
+// Cycle safety: a certificate appears at most once on a path.
+bool on_path(const core::Chain& path, const x509::Certificate& cert) {
+  return std::any_of(path.begin(), path.end(), [&](const x509::CertPtr& c) {
+    return c->fingerprint() == cert.fingerprint();
+  });
 }
 
 }  // namespace
@@ -194,13 +215,17 @@ std::optional<Fault> ChainVerifier::check_at_root(
                  "EV required but root is not EV-enabled");
   }
 
-  // Name constraints along the path apply to the leaf's DNS identities.
-  std::vector<std::string> names = leaf.dns_names();
-  if (!options.hostname.empty()) names.push_back(options.hostname);
+  // Name constraints along the path apply to the leaf's DNS identities,
+  // listed only once some certificate on the path carries constraints.
+  std::optional<std::vector<std::string>> names;
   for (std::size_t i = 1; i < chain.size(); ++i) {
     const auto& nc = chain[i]->name_constraints();
     if (!nc) continue;
-    for (const auto& name : names) {
+    if (!names) {
+      names = leaf.dns_names();
+      if (!options.hostname.empty()) names->push_back(options.hostname);
+    }
+    for (const auto& name : *names) {
       if (!nc->allows(name)) {
         return fault(ErrorKind::kConstraintViolation,
                      "name constraint on '" +
@@ -222,105 +247,116 @@ std::optional<Fault> ChainVerifier::check_at_root(
   return std::nullopt;
 }
 
-bool ChainVerifier::extend(SearchState& state, const VerifyOptions& options,
+bool ChainVerifier::search(const x509::CertPtr& leaf,
+                           const CertificatePool& pool,
+                           const VerifyOptions& options,
                            VerifyResult& result) const {
-  if (result.truncated) return false;
-  // Copy, not reference: recursive extension reallocates state.path.
-  const x509::CertPtr current = state.path.back();
-
-  // Exhausting the candidate-path budget stops the whole search: the
-  // accept-if-any semantics only holds over the paths actually tried, so
-  // the truncation is surfaced rather than silently narrowing the claim.
-  auto out_of_budget = [&]() {
-    if (result.paths_explored < options.max_paths) return false;
+  // Every candidate link checked counts against the step budget, so work
+  // is bounded even where no path reaches a root. Exhausting it, or
+  // max_paths, stops the whole search: accept-if-any only holds over the
+  // paths actually tried, so the truncation is surfaced rather than
+  // silently narrowing the claim.
+  const std::size_t max_checks = max_link_checks(options);
+  std::size_t checks = 0;
+  auto out_of_budget = [&](bool ends_at_root) {
+    if (checks < max_checks &&
+        !(ends_at_root && result.paths_explored >= options.max_paths)) {
+      ++checks;
+      return false;
+    }
     result.truncated = true;
     return true;
   };
 
-  // Option 1: terminate at a trusted root that issued `current` (respecting
-  // the depth bound on the completed chain).
-  const std::span<const rootstore::RootEntry* const> anchors =
-      state.path.size() < options.max_depth
-          ? store_.trusted_by_subject(current->issuer())
-          : std::span<const rootstore::RootEntry* const>{};
-  for (const rootstore::RootEntry* entry : anchors) {
-    if (entry->cert->fingerprint() == current->fingerprint()) continue;
-    if (out_of_budget()) return false;
-    ++result.paths_explored;
-    core::Chain candidate = state.path;
-    candidate.push_back(entry->cert);
-    if (auto link = check_link(*current, *entry->cert, state.path.size() - 1,
-                               options)) {
-      record_rejection(result, candidate, *link);
+  // One leaf-first path, and per certificate on it a cursor over the
+  // candidates for its issuer, both sized for the default depth.
+  constexpr std::size_t kTypicalDepth = 8;
+  core::Chain path;
+  std::vector<Cursor> cursors;
+  path.reserve(std::min(options.max_depth, kTypicalDepth));
+  cursors.reserve(std::min(options.max_depth, kTypicalDepth));
+  path.push_back(leaf);
+  auto open_cursor = [&] {
+    Cursor cursor;
+    if (path.size() < options.max_depth) {
+      const x509::DistinguishedName& issuer = path.back()->issuer();
+      cursor.anchors = store_.trusted_by_subject(issuer);
+      cursor.nodes = pool.nodes_for_subject(issuer);
+    }
+    cursors.push_back(std::move(cursor));
+  };
+  open_cursor();
+
+  while (!cursors.empty()) {
+    Cursor& at = cursors.back();
+    const x509::Certificate& current = *path.back();
+    const std::size_t child_depth = path.size() - 1;
+
+    // A trusted root that issued `current` completes the path.
+    if (at.anchor < at.anchors.size()) {
+      const rootstore::RootEntry& entry = *at.anchors[at.anchor++];
+      if (entry.cert->fingerprint() == current.fingerprint()) continue;
+      if (out_of_budget(true)) return false;
+      ++result.paths_explored;
+      path.push_back(entry.cert);
+      std::optional<Fault> why =
+          check_link(current, *entry.cert, child_depth, options);
+      if (!why) why = check_at_root(path, entry, options, result);
+      if (!why) {
+        result.ok = true;
+        result.chain = std::move(path);
+        return true;
+      }
+      record_rejection(result, path, *why);  // the paper's "continue building"
+      path.pop_back();
       continue;
     }
-    if (auto root_check = check_at_root(candidate, *entry, options, result)) {
-      record_rejection(result, candidate, *root_check);
-      continue;  // the paper's "continue building" loop
-    }
-    result.ok = true;
-    result.chain = std::move(candidate);
-    return true;
-  }
 
-  // Option 2: the current certificate is itself a trusted root (e.g. a
-  // chain the server terminated at the anchor).
-  if (const rootstore::RootEntry* entry =
-          store_.find(current->fingerprint());
-      entry != nullptr && state.path.size() > 1) {
-    if (out_of_budget()) return false;
-    ++result.paths_explored;
-    auto root_check = check_at_root(state.path, *entry, options, result);
-    if (!root_check) {
-      result.ok = true;
-      result.chain = state.path;
-      return true;
-    }
-    record_rejection(result, state.path, *root_check);
-  }
-
-  // Option 3: extend through untrusted issuers from the pool, one logical
-  // CA (graph node) at a time so cross-signed certificates are alternate
-  // edges into the same node.
-  if (state.path.size() >= options.max_depth) return false;
-  for (const GraphNode* node :
-       state.pool->nodes_for_subject(current->issuer())) {
-    if (options.graph_distrust) {
-      // The bane check: if *any* certificate of this logical CA is
-      // explicitly distrusted, trust in the CA's key was withdrawn and no
-      // cross-signed sibling may resurrect it — every path through the
-      // node is rejected, structurally, without descending.
-      if (const x509::CertPtr* bad = distrusted_member(*node, store_)) {
-        core::Chain candidate = state.path;
-        candidate.push_back(*bad);
+    // Otherwise extend through untrusted issuers from the pool, one logical
+    // CA (graph node) at a time, so cross-signed certificates are alternate
+    // edges into the same node.
+    if (at.node < at.nodes.size()) {
+      const GraphNode& node = *at.nodes[at.node];
+      // The bane check, once per node: if *any* certificate of this logical
+      // CA is explicitly distrusted, trust in the CA's key was withdrawn
+      // and no cross-signed sibling may resurrect it — every path through
+      // the node is rejected, structurally, without descending.
+      const x509::CertPtr* bad = at.cert == 0 && options.graph_distrust
+                                     ? distrusted_member(node, store_)
+                                     : nullptr;
+      if (bad != nullptr) {
+        path.push_back(*bad);
         record_rejection(
-            result, candidate,
+            result, path,
             Fault{ErrorKind::kDistrusted,
                   "distrusted CA '" + (*bad)->subject().common_name() +
                       "': certificate " +
                       (*bad)->fingerprint_hex().substr(0, 16) +
                       "... is explicitly distrusted; a cross-sign cannot "
                       "resurrect it"});
+        path.pop_back();
+      }
+      if (bad != nullptr || at.cert == node.certs.size()) {
+        ++at.node;
+        at.cert = 0;
         continue;
       }
-    }
-    for (const x509::CertPtr& candidate : node->certs) {
-      const Sha256::Digest& hash = candidate->fingerprint();
-      if (state.visited.contains(hash)) continue;
-      if (auto link = check_link(*current, *candidate, state.path.size() - 1,
-                                 options)) {
+      const x509::CertPtr& candidate = node.certs[at.cert++];
+      if (on_path(path, *candidate)) continue;
+      if (out_of_budget(false)) return false;
+      if (auto link = check_link(current, *candidate, child_depth, options)) {
         // Not a rejected *path* (the search just doesn't go this way), but
         // still the first classified fault if nothing better turns up.
         if (result.kind == ErrorKind::kOk) result.kind = link->kind;
         continue;
       }
-      state.visited.insert(hash);
-      state.path.push_back(candidate);
-      if (extend(state, options, result)) return true;
-      state.path.pop_back();
-      state.visited.erase(hash);
-      if (result.truncated) return false;
+      path.push_back(candidate);
+      open_cursor();
+      continue;
     }
+
+    cursors.pop_back();
+    path.pop_back();
   }
   return false;
 }
@@ -334,85 +370,24 @@ VerifyResult ChainVerifier::verify(const x509::CertPtr& leaf,
     result.error = std::move(leaf_fault->detail);
     return result;
   }
-  SearchState state;
-  state.path.push_back(leaf);
-  state.visited.insert(leaf->fingerprint());
-  state.pool = &pool;
-  if (!extend(state, options, result)) {
-    if (result.error.empty()) {
-      if (result.truncated) {
-        result.error = "path budget exhausted (max_paths = " +
-                       std::to_string(options.max_paths) +
-                       ") before an accepted path";
-      } else {
-        result.error = result.rejected_paths.empty()
-                           ? "no path to a trusted root"
-                           : "all candidate paths rejected";
-      }
-    }
-    // extend() recorded the first classified rejection's kind; a search
-    // that never hit a classifiable fault is kNoPath.
-    if (result.kind == ErrorKind::kOk) result.kind = ErrorKind::kNoPath;
-  } else {
+  if (search(leaf, pool, options, result)) {
     result.kind = ErrorKind::kOk;
+    return result;
   }
+  if (result.truncated) {
+    result.error = "path budget exhausted (max_paths = " +
+                   std::to_string(options.max_paths) + " paths, " +
+                   std::to_string(max_link_checks(options)) +
+                   " link checks) before an accepted path";
+  } else {
+    result.error = result.rejected_paths.empty()
+                       ? "no path to a trusted root"
+                       : "all candidate paths rejected";
+  }
+  // search() recorded the first classified rejection's kind; a search that
+  // never hit a classifiable fault is kNoPath.
+  if (result.kind == ErrorKind::kOk) result.kind = ErrorKind::kNoPath;
   return result;
-}
-
-std::vector<std::vector<std::string>> ChainVerifier::enumerate_paths(
-    const x509::CertPtr& leaf, const CertificatePool& pool,
-    std::size_t max_depth, std::size_t max_paths) const {
-  std::vector<std::vector<std::string>> out;
-  std::set<std::vector<std::string>> seen;
-  core::Chain path;
-  path.push_back(leaf);
-  std::unordered_set<Sha256::Digest, DigestHash> visited;
-  visited.insert(leaf->fingerprint());
-
-  auto fingerprints = [](const core::Chain& chain) {
-    std::vector<std::string> fps;
-    fps.reserve(chain.size());
-    for (const auto& cert : chain) fps.push_back(cert->fingerprint_hex());
-    return fps;
-  };
-  auto emit = [&](const core::Chain& chain) {
-    auto fps = fingerprints(chain);
-    if (seen.insert(fps).second) out.push_back(std::move(fps));
-  };
-
-  std::function<void()> dfs = [&]() {
-    if (out.size() >= max_paths) return;
-    const x509::CertPtr current = path.back();
-    if (path.size() < max_depth) {
-      for (const rootstore::RootEntry* entry :
-           store_.trusted_by_subject(current->issuer())) {
-        if (entry->cert->fingerprint() == current->fingerprint()) continue;
-        core::Chain candidate = path;
-        candidate.push_back(entry->cert);
-        emit(candidate);
-        if (out.size() >= max_paths) return;
-      }
-    }
-    if (path.size() > 1 && store_.find(current->fingerprint()) != nullptr) {
-      emit(path);
-      if (out.size() >= max_paths) return;
-    }
-    if (path.size() >= max_depth) return;
-    for (const GraphNode* node : pool.nodes_for_subject(current->issuer())) {
-      for (const x509::CertPtr& candidate : node->certs) {
-        const Sha256::Digest& hash = candidate->fingerprint();
-        if (visited.contains(hash)) continue;
-        visited.insert(hash);
-        path.push_back(candidate);
-        dfs();
-        path.pop_back();
-        visited.erase(hash);
-        if (out.size() >= max_paths) return;
-      }
-    }
-  };
-  dfs();
-  return out;
 }
 
 }  // namespace anchor::chain

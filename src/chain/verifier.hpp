@@ -3,21 +3,30 @@
 // execute the GCC to determine whether to accept the chain or continue
 // building."
 //
-// The verifier performs depth-first path construction from the leaf toward
+// The verifier runs one iterative depth-first search from the leaf toward
 // the trusted roots over the certificate *graph* (graph.hpp): candidate
 // issuers are logical CAs keyed by (subject DN, SPKI), so cross-signed
-// certificates are alternate edges into one node and the search enumerates
-// every leaf→root path across cross-signs — bounded by max_depth and
-// max_paths, cycle-safe via per-certificate visited tracking. Each link
-// gets RFC 5280-style checks (validity window, basicConstraints.cA,
+// certificates are alternate edges into one node and the search reaches
+// every leaf→root path across cross-signs, trying each candidate path once
+// and each certificate at most once per path. Issuers are tried in a fixed
+// order, trusted anchors (trusted_by_subject order) before pooled
+// certificates (graph order), so the first accepted path is deterministic.
+// Each link gets RFC 5280-style checks (validity window, basicConstraints.cA,
 // pathLenConstraint, keyCertSign, signature, registered revocation
-// sources); each completed path gets the root store's systematic metadata
-// (date-usage cutoffs, EV bit), name constraints, and the root's GCCs. The
-// verdict is accept-if-any-path; every path that was reached and rejected
-// is recorded structurally as a RejectedPath. A logical CA containing an
-// explicitly distrusted certificate poisons all paths through it — the
-// cross-signing bane case (a distrusted root resurrected via a
-// cross-sign) is rejected with kDistrusted instead of silently re-trusted.
+// sources); each path ending at an anchor gets the root store's systematic
+// metadata (date-usage cutoffs, EV bit), name constraints, and the root's
+// GCCs. The verdict is accept-if-any-path; every path that was reached and
+// rejected is recorded structurally as a RejectedPath. A logical CA
+// containing an explicitly distrusted certificate poisons all paths
+// through it — the cross-signing bane case (a distrusted root resurrected
+// via a cross-sign) is rejected with kDistrusted instead of silently
+// re-trusted.
+//
+// The search fails closed on a budget: at most max_paths anchor-terminated
+// candidates and at most max_paths × max_depth link checks (every
+// candidate link, anchor or pooled, passing or failing), so a cross-signed
+// ladder that never reaches a root costs bounded work. Exhausting either
+// sets `truncated` and rejects.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +56,8 @@ struct VerifyOptions {
   Usage usage = Usage::kTls;
   bool require_ev = false;      // demand an EV chain (leaf EV + root EV bit)
   std::size_t max_depth = 8;    // maximum certificates in a path
-  std::size_t max_paths = 64;   // candidate-path budget across cross-signs
+  std::size_t max_paths = 64;   // candidate-path budget across cross-signs;
+                                // × max_depth, the link-check budget
   bool check_signatures = true; // disable only in parsing-only benchmarks
   bool run_gccs = true;         // the ablation switch for E9
   // The bane-case ablation switch: false reverts to the pre-graph tree
@@ -92,7 +102,7 @@ struct VerifyResult {
   std::vector<RejectedPath> rejected_paths;
   core::GccVerdict gcc_verdict; // aggregate over executed GCCs
   std::size_t paths_explored = 0;
-  bool truncated = false;       // search stopped at the max_paths budget
+  bool truncated = false;       // search stopped at its budget (see top)
 };
 
 // Hook interface for GCC execution placement (user-agent vs platform
@@ -136,20 +146,10 @@ class ChainVerifier {
   VerifyResult verify(const x509::CertPtr& leaf, const CertificatePool& pool,
                       const VerifyOptions& options) const;
 
-  // Structural path enumeration: every root-terminating candidate path
-  // (leaf-first fingerprint sequences, deduplicated) reachable through the
-  // graph within `max_depth`/`max_paths` — topology only, no RFC 5280 or
-  // signature filtering. The property suite compares this against an
-  // exhaustive reference search over the raw certificate list.
-  std::vector<std::vector<std::string>> enumerate_paths(
-      const x509::CertPtr& leaf, const CertificatePool& pool,
-      std::size_t max_depth = 8, std::size_t max_paths = 1024) const;
-
  private:
-  struct SearchState;
-
-  bool extend(SearchState& state, const VerifyOptions& options,
-              VerifyResult& result) const;
+  // Fills `result` from the path search; true once a path is accepted.
+  bool search(const x509::CertPtr& leaf, const CertificatePool& pool,
+              const VerifyOptions& options, VerifyResult& result) const;
 
   // Per-certificate checks that do not depend on the final root.
   // nullopt = pass; a Fault carries the classified rejection.

@@ -17,6 +17,7 @@
 
 #include "anchord/client.hpp"
 #include "core/gcc.hpp"
+#include "cross_sign_ladder.hpp"
 #include "rsf/client.hpp"
 #include "util/time.hpp"
 #include "x509/builder.hpp"
@@ -1333,6 +1334,77 @@ TEST(AnchordServer, WarmVerifyWhileAnotherIsInFlightIsPooled) {
     EXPECT_TRUE(response.value().ok);
   }
   EXPECT_EQ(inline_total(h), 0u);
+}
+
+// A warm verify deeper than the protocol allows is malformed, and is not
+// answered inline: the reactor only answers what do_verify would verify.
+TEST(AnchordServer, VerifyDeeperThanProtocolLimitIsMalformed) {
+  Harness h;
+  AnchordClient client(h.client_end());
+  CertPtr leaf = h.pki.leaf("deep.example.com");
+  Request request = h.pki.verify_request(leaf, "deep.example.com");
+  request.max_depth = kMaxRequestDepth;
+  auto at_limit = client.call(request);
+  ASSERT_TRUE(at_limit.ok()) << at_limit.error();
+  EXPECT_TRUE(at_limit.value().ok);
+
+  request.max_depth = kMaxRequestDepth + 1;
+  ASSERT_TRUE(eventually([&] { return h.server->in_flight() == 0; }));
+  auto deep = client.call(request);
+  ASSERT_TRUE(deep.ok()) << deep.error();
+  EXPECT_FALSE(deep.value().ok);
+  EXPECT_EQ(deep.value().kind, ErrorKind::kMalformedRequest);
+  EXPECT_NE(deep.value().detail.find("max_depth"), std::string::npos);
+  EXPECT_EQ(inline_total(h), 0u);
+  EXPECT_EQ(h.service.stats().calls, 1u);
+}
+
+TEST(AnchordServer, BatchDeeperThanProtocolLimitIsMalformed) {
+  Harness h;
+  AnchordClient client(h.client_end());
+  Request request;
+  request.verb = Verb::kVerifyBatch;
+  request.usage = "TLS";
+  request.time = WirePki::kNow;
+  request.intermediates_der = {h.pki.intermediate->der()};
+  request.batch = {{"a.example.com", h.pki.leaf("a.example.com")->der()}};
+  request.max_depth = kMaxRequestDepth + 1;
+  auto response = client.call(request);
+  ASSERT_TRUE(response.ok()) << response.error();
+  EXPECT_FALSE(response.value().ok);
+  EXPECT_EQ(response.value().kind, ErrorKind::kMalformedRequest);
+  EXPECT_TRUE(response.value().batch.empty());
+  EXPECT_EQ(h.service.stats().calls, 0u);
+}
+
+// A cross-signed ladder with no root on top, twice: the cold request is
+// pooled and the warm one is answered on the reactor. The search budget
+// stops both, so each answer is a prompt rejection and neither stalls the
+// reactor, and both truncations are counted.
+TEST(AnchordServer, CrossSignLadderFailsClosedOnTheReactor) {
+  Harness h;
+  CrossSignLadder ladder = make_cross_sign_ladder(h.pki.sigs, 7, 6);
+  AnchordClient client(h.client_end());
+  Request request;
+  request.verb = Verb::kVerify;
+  request.usage = "TLS";
+  request.time = CrossSignLadder::kNow;
+  request.hostname = CrossSignLadder::kHost;
+  request.leaf_der = ladder.leaf->der();
+  for (const CertPtr& ca : ladder.cas) {
+    request.intermediates_der.push_back(ca->der());
+  }
+
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(eventually([&] { return h.server->in_flight() == 0; }));
+    auto response = client.call(request);
+    ASSERT_TRUE(response.ok()) << response.error();
+    EXPECT_FALSE(response.value().ok);
+    EXPECT_NE(response.value().kind, ErrorKind::kOk);
+    EXPECT_NE(response.value().detail.find("path budget"), std::string::npos);
+    EXPECT_EQ(inline_total(h), static_cast<std::uint64_t>(i));
+  }
+  EXPECT_EQ(h.registry.counter("anchor_verify_truncated_total").value(), 2u);
 }
 
 // --- transports and concurrency -------------------------------------------

@@ -1,14 +1,15 @@
-// The graph-verifier property suite (ISSUE 10 satellite): seeded random
-// cross-sign DAGs (corpus/crosssign.hpp) drive three pinned properties —
-// (a) the verifier's structural path enumeration finds exactly the
-//     root-terminating paths an exhaustive reference search over the raw
-//     certificate list finds;
+// The graph-verifier property suite: seeded random cross-sign DAGs
+// (corpus/crosssign.hpp) drive three pinned properties —
+// (a) the verifier's path search reaches exactly the root-terminating
+//     paths an exhaustive reference search over the raw certificate list
+//     finds, each of them once;
 // (b) verdicts are invariant to pool insertion order (accept-if-any-path
 //     cannot depend on which cross-sign edge is tried first);
 // (c) a StoreView-backed verifier and a heap-backed verifier produce
 //     byte-identical verdicts (serialized-result comparison).
-// Plus the executable bane case (incidents::make_cross_sign) and the
-// path-budget / accept-if-any semantics on a hand-built cross-sign.
+// Plus the executable bane case (incidents::make_cross_sign), the
+// path-budget / accept-if-any semantics on a hand-built cross-sign, and the
+// link-check budget on a cross-signed ladder with no root on top.
 #include "chain/graph.hpp"
 
 #include <gtest/gtest.h>
@@ -20,7 +21,9 @@
 #include <vector>
 
 #include "chain/verifier.hpp"
+#include "core/gcc.hpp"
 #include "corpus/crosssign.hpp"
+#include "cross_sign_ladder.hpp"
 #include "incidents/incidents.hpp"
 #include "rootstore/snapshot/view.hpp"
 #include "rootstore/snapshot/writer.hpp"
@@ -78,8 +81,8 @@ std::string render(const VerifyResult& result) {
 // list (no graph nodes, no subject index): every simple leaf-first
 // sequence over `universe` whose links match subject/issuer DNs, whose
 // length is at most `max_depth`, and whose final certificate is a trusted
-// root in `store`. This is what ChainVerifier::enumerate_paths must agree
-// with exactly.
+// root in `store`. This is what ChainVerifier::verify's search must reach
+// exactly.
 std::set<std::vector<std::string>> reference_paths(
     const CertPtr& leaf, const std::vector<CertPtr>& universe,
     const rootstore::StoreReader& store, std::size_t max_depth) {
@@ -163,16 +166,32 @@ TEST(GraphProperty, EnumerationMatchesExhaustiveReference) {
   std::size_t multi_path_leaves = 0;
   for (const CrossSignConfig& config : property_configs()) {
     CrossSignDag dag = make_cross_sign_dag(config);
-    ChainVerifier verifier(dag.store, dag.signatures);
+    // Every trusted root cuts off TLS trust before any leaf was issued, so
+    // every path that reaches a root is rejected there and recorded: the
+    // rejected paths are exactly the root-terminating paths the search
+    // reached.
+    rootstore::RootStore store = dag.store;
+    for (const rootstore::RootEntry* entry : dag.store.trusted()) {
+      rootstore::RootMetadata cutoff = entry->metadata;
+      cutoff.tls_distrust_after = 1;
+      ASSERT_TRUE(store.add_trusted(entry->cert, cutoff).ok());
+    }
+    ChainVerifier verifier(store, dag.signatures);
     for (std::size_t i = 0; i < dag.leaves.size(); ++i) {
-      auto enumerated =
-          verifier.enumerate_paths(dag.leaves[i], dag.pool, 8, 1024);
-      ASSERT_LT(enumerated.size(), 1024u) << "budget must not truncate";
-      std::set<std::vector<std::string>> got(enumerated.begin(),
-                                             enumerated.end());
-      EXPECT_EQ(got.size(), enumerated.size())
-          << "enumerate_paths must not emit duplicates";
-      auto expected = reference_paths(dag.leaves[i], dag.ca_certs, dag.store, 8);
+      VerifyOptions options = tls_options(dag, i);
+      options.graph_distrust = false;
+      options.max_paths = 1024;
+      const VerifyResult result = verifier.verify(dag.leaves[i], dag.pool,
+                                                  options);
+      ASSERT_FALSE(result.ok);
+      ASSERT_FALSE(result.truncated) << "budget must not truncate";
+      std::set<std::vector<std::string>> got;
+      for (const RejectedPath& rejected : result.rejected_paths) {
+        got.insert(rejected.fingerprints);
+      }
+      EXPECT_EQ(got.size(), result.rejected_paths.size())
+          << "the search must try each candidate path once";
+      auto expected = reference_paths(dag.leaves[i], dag.ca_certs, store, 8);
       EXPECT_EQ(got, expected)
           << "seed " << config.seed << " leaf " << dag.leaf_domains[i];
       if (expected.size() > 1) ++multi_path_leaves;
@@ -396,6 +415,114 @@ TEST(GraphSearch, AcceptIfAnyPathAndBudgetTruncation) {
   EXPECT_EQ(truncated.kind, ErrorKind::kUsageViolation);
   EXPECT_NE(truncated.error.find("path budget"), std::string::npos);
   EXPECT_EQ(truncated.paths_explored, 1u);
+}
+
+// Counts the signature checks that reach the scheme.
+class CountingScheme final : public SignatureScheme {
+ public:
+  explicit CountingScheme(const SignatureScheme& inner) : inner_(inner) {}
+  bool verify(BytesView key_id, BytesView message,
+              BytesView signature) const override {
+    ++calls;
+    return inner_.verify(key_id, message, signature);
+  }
+  mutable std::size_t calls = 0;
+
+ private:
+  const SignatureScheme& inner_;
+};
+
+// Six CAs per level, seven levels, nothing trusted on top: some 600,000
+// candidate links, none ending at a root, so the max_paths bound alone
+// never fires. The link-check budget stops the search, fails closed and
+// says so.
+TEST(GraphSearch, CrossSignLadderStopsAtStepBudget) {
+  SimSig signatures;
+  CrossSignLadder ladder = make_cross_sign_ladder(signatures, 7, 6);
+  CertificatePool pool;
+  pool.add_all(ladder.cas);
+  rootstore::RootStore store;
+  CountingScheme counting(signatures);
+  ChainVerifier verifier(store, counting);
+
+  VerifyOptions options;
+  options.time = CrossSignLadder::kNow;
+  options.hostname = CrossSignLadder::kHost;
+  const VerifyResult result = verifier.verify(ladder.leaf, pool, options);
+  EXPECT_FALSE(result.ok);
+  EXPECT_TRUE(result.truncated);
+  EXPECT_EQ(result.kind, ErrorKind::kBadSignature);
+  EXPECT_NE(result.error.find("path budget"), std::string::npos);
+  EXPECT_EQ(result.paths_explored, 0u);
+  EXPECT_GT(counting.calls, 0u);
+  EXPECT_LE(counting.calls, options.max_paths * options.max_depth);
+}
+
+// leaf <- I <- R with R trusted, denied by its GCC, and also in the pool:
+// the search tries the one path leaf <- I <- R once, as an anchor, and
+// does not try it again after extending through the pooled R.
+TEST(GraphSearch, PooledRootIsTriedOnce) {
+  constexpr std::int64_t kNow = 1700000000;
+  SimSig signatures;
+  SimKeyPair root_key = SimSig::keygen("Once Root");
+  SimKeyPair int_key = SimSig::keygen("Once Int");
+  SimKeyPair leaf_key = SimSig::keygen("once-leaf");
+  signatures.register_key(root_key);
+  signatures.register_key(int_key);
+  CertPtr root = x509::CertificateBuilder()
+                     .serial(1)
+                     .subject(x509::DistinguishedName::make("Once Root", "T"))
+                     .issuer(x509::DistinguishedName::make("Once Root", "T"))
+                     .validity(0, unix_date(2040, 1, 1))
+                     .public_key(root_key.key_id)
+                     .ca(std::nullopt)
+                     .sign(root_key)
+                     .take();
+  CertPtr intermediate =
+      x509::CertificateBuilder()
+          .serial(2)
+          .subject(x509::DistinguishedName::make("Once Int", "T"))
+          .issuer(root->subject())
+          .validity(0, unix_date(2039, 1, 1))
+          .public_key(int_key.key_id)
+          .ca(0)
+          .sign(root_key)
+          .take();
+  CertPtr leaf = x509::CertificateBuilder()
+                     .serial(3)
+                     .subject(x509::DistinguishedName::make("once.example.com"))
+                     .issuer(intermediate->subject())
+                     .validity(kNow - 86400, kNow + 86400)
+                     .public_key(leaf_key.key_id)
+                     .dns_names({"once.example.com"})
+                     .extended_key_usage({x509::oids::kp_server_auth()})
+                     .sign(int_key)
+                     .take();
+
+  rootstore::RootStore store;
+  ASSERT_TRUE(store.add_trusted(root).ok());
+  store.attach_gcc(core::Gcc::for_certificate(
+                       "ev-only", *root,
+                       "valid(Chain, _) :- leaf(Chain, L), ev(L).")
+                       .take());
+  CertificatePool pool;
+  pool.add(intermediate);
+  pool.add(root);
+
+  VerifyOptions options;
+  options.time = kNow;
+  options.hostname = "once.example.com";
+  const VerifyResult result =
+      ChainVerifier(store, signatures).verify(leaf, pool, options);
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.kind, ErrorKind::kGccDenied);
+  EXPECT_EQ(result.paths_explored, 1u);
+  EXPECT_EQ(result.gcc_verdict.gccs_evaluated, 1u);
+  ASSERT_EQ(result.rejected_paths.size(), 1u);
+  EXPECT_EQ(result.rejected_paths[0].fingerprints,
+            (std::vector<std::string>{leaf->fingerprint_hex(),
+                                      intermediate->fingerprint_hex(),
+                                      root->fingerprint_hex()}));
 }
 
 }  // namespace
