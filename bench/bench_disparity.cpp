@@ -103,7 +103,9 @@ int main() {
       anchor::corpus::run_disparity_census(corpus, primaries);
 
   std::printf("=== E15: multi-primary disparity census (paper §4) ===\n");
-  std::printf("chains verified: %zu\n\n", report.chains);
+  std::printf("chains verified: %zu (valid at the census time; %zu expired "
+              "or not yet valid leaves skipped)\n\n",
+              report.chains, report.skipped_not_valid);
 
   std::printf("%-14s %10s %10s %10s %8s\n", "primary", "trusted", "gccs",
               "accepted", "rate");

@@ -1,34 +1,27 @@
 #include "chain/graph.hpp"
 
-#include "util/bytes.hpp"
+#include <algorithm>
+#include <iterator>
 
 namespace anchor::chain {
 
-std::string CertificateGraph::node_key(const x509::Certificate& cert) {
-  return cert.subject().to_string() + "|" + to_hex(BytesView(cert.public_key()));
-}
-
 void CertificateGraph::add(x509::CertPtr cert) {
-  auto& bucket = by_subject_[cert->subject().to_string()];
+  SubjectBucket& bucket = by_subject_[cert->subject()];
   // Exact duplicates (same DER) are dropped.
   for (const auto& existing : bucket.certs) {
     if (existing->fingerprint() == cert->fingerprint()) return;
   }
 
-  const std::string key = node_key(*cert);
-  auto it = node_by_key_.find(key);
-  std::size_t index = 0;
-  if (it == node_by_key_.end()) {
-    index = nodes_.size();
-    nodes_.push_back(GraphNode{cert->subject().to_string(),
-                               cert->public_key(),
-                               {}});
-    node_by_key_.emplace(key, index);
-    bucket.nodes.push_back(index);
-  } else {
-    index = it->second;
+  auto node = std::find_if(
+      bucket.nodes.begin(), bucket.nodes.end(),
+      [&](const GraphNode& n) { return n.spki == cert->public_key(); });
+  if (node == bucket.nodes.end()) {
+    bucket.nodes.push_back(
+        GraphNode{cert->subject().to_string(), cert->public_key(), {}});
+    node = std::prev(bucket.nodes.end());
+    ++node_count_;
   }
-  nodes_[index].certs.push_back(cert);
+  node->certs.push_back(cert);
   bucket.certs.push_back(std::move(cert));
   ++size_;
 }
@@ -40,24 +33,23 @@ void CertificateGraph::add_all(const std::vector<x509::CertPtr>& certs) {
 const std::vector<x509::CertPtr>& CertificateGraph::by_subject(
     const x509::DistinguishedName& subject) const {
   static const std::vector<x509::CertPtr> kEmpty;
-  auto it = by_subject_.find(subject.to_string());
+  auto it = by_subject_.find(subject);
   return it == by_subject_.end() ? kEmpty : it->second.certs;
 }
 
-std::vector<const GraphNode*> CertificateGraph::nodes_for_subject(
+std::span<const GraphNode> CertificateGraph::nodes_for_subject(
     const x509::DistinguishedName& subject) const {
-  auto it = by_subject_.find(subject.to_string());
+  auto it = by_subject_.find(subject);
   if (it == by_subject_.end()) return {};
-  std::vector<const GraphNode*> out;
-  out.reserve(it->second.nodes.size());
-  for (std::size_t index : it->second.nodes) out.push_back(&nodes_[index]);
-  return out;
+  return it->second.nodes;
 }
 
 const GraphNode* CertificateGraph::node_of(
     const x509::Certificate& cert) const {
-  auto it = node_by_key_.find(node_key(cert));
-  return it == node_by_key_.end() ? nullptr : &nodes_[it->second];
+  for (const GraphNode& node : nodes_for_subject(cert.subject())) {
+    if (node.spki == cert.public_key()) return &node;
+  }
+  return nullptr;
 }
 
 const x509::CertPtr* distrusted_member(const GraphNode& node,

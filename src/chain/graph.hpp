@@ -17,7 +17,7 @@
 //                             not once per cross-sign.
 #pragma once
 
-#include <deque>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -39,37 +39,37 @@ class CertificateGraph {
   void add(x509::CertPtr cert);
   void add_all(const std::vector<x509::CertPtr>& certs);
 
-  // Certificates whose subject DN renders equal to `subject` — candidate
-  // issuers for a certificate with that issuer DN, in insertion order.
+  // Certificates whose subject DN equals `subject` — candidate issuers for
+  // a certificate with that issuer DN, in insertion order.
   const std::vector<x509::CertPtr>& by_subject(
       const x509::DistinguishedName& subject) const;
 
-  // Logical-CA nodes for that subject DN, in first-seen order. Node
-  // pointers stay valid across add() (deque-backed).
-  std::vector<const GraphNode*> nodes_for_subject(
+  // Logical-CA nodes for that subject DN, in first-seen order. The span is
+  // invalidated by add() of a certificate with the same subject.
+  std::span<const GraphNode> nodes_for_subject(
       const x509::DistinguishedName& subject) const;
 
   // The node `cert` belongs to, or nullptr if it was never added.
   const GraphNode* node_of(const x509::Certificate& cert) const;
 
-  std::size_t size() const { return size_; }          // certificates
-  std::size_t node_count() const { return nodes_.size(); }  // logical CAs
+  std::size_t size() const { return size_; }                // certificates
+  std::size_t node_count() const { return node_count_; }     // logical CAs
 
  private:
-  static std::string node_key(const x509::Certificate& cert);
-
+  // Every certificate and every logical CA with one subject DN. A node is
+  // (subject DN, SPKI), so a subject's nodes are told apart by key alone.
+  // Nodes are held by value, with no pointers between tables, so a copied
+  // or moved graph refers only into itself.
   struct SubjectBucket {
-    std::vector<x509::CertPtr> certs;   // flat pool-compatible view
-    std::vector<std::size_t> nodes;     // indices into nodes_, first-seen order
+    std::vector<x509::CertPtr> certs;  // flat pool-compatible view
+    std::vector<GraphNode> nodes;      // first-seen order
   };
 
-  // Indices (not pointers) into nodes_: the graph stays trivially copyable
-  // and movable — a copied graph's index tables refer into its own deque,
-  // where copied pointers would dangle into the source's.
-  std::deque<GraphNode> nodes_;  // stable addresses across add()
-  std::unordered_map<std::string, std::size_t> node_by_key_;
-  std::unordered_map<std::string, SubjectBucket> by_subject_;
+  std::unordered_map<x509::DistinguishedName, SubjectBucket,
+                     x509::DistinguishedNameHash>
+      by_subject_;
   std::size_t size_ = 0;
+  std::size_t node_count_ = 0;
 };
 
 // The bane check: a logical CA is poisoned when any of its member

@@ -92,7 +92,7 @@ void record_rejection(VerifyResult& result, const core::Chain& chain,
 struct Cursor {
   std::span<const rootstore::RootEntry* const> anchors;
   std::size_t anchor = 0;
-  std::vector<const GraphNode*> nodes;
+  std::span<const GraphNode> nodes;
   std::size_t node = 0;
   std::size_t cert = 0;  // next member of nodes[node]
 };
@@ -283,7 +283,7 @@ bool ChainVerifier::search(const x509::CertPtr& leaf,
       cursor.anchors = store_.trusted_by_subject(issuer);
       cursor.nodes = pool.nodes_for_subject(issuer);
     }
-    cursors.push_back(std::move(cursor));
+    cursors.push_back(cursor);
   };
   open_cursor();
 
@@ -316,7 +316,7 @@ bool ChainVerifier::search(const x509::CertPtr& leaf,
     // CA (graph node) at a time, so cross-signed certificates are alternate
     // edges into the same node.
     if (at.node < at.nodes.size()) {
-      const GraphNode& node = *at.nodes[at.node];
+      const GraphNode& node = at.nodes[at.node];
       // The bane check, once per node: if *any* certificate of this logical
       // CA is explicitly distrusted, trust in the CA's key was withdrawn
       // and no cross-signed sibling may resurrect it — every path through

@@ -113,16 +113,16 @@ Result<Gcc> Gcc::create(std::string name, const Sha256::Digest& root_hash,
     return err("gcc '" + name + "': program does not define valid/2");
   }
 
-  Gcc gcc;
-  gcc.name_ = std::move(name);
-  gcc.root_hash_ = root_hash;
-  gcc.source_ = std::move(source);
-  gcc.justification_ = std::move(justification);
-  gcc.program_ = std::move(program);
-  gcc.compiled_ = std::make_shared<const datalog::CompiledProgram>(
+  auto body = std::make_shared<Body>();
+  body->name = std::move(name);
+  body->root_hash = root_hash;
+  body->source = std::move(source);
+  body->justification = std::move(justification);
+  body->program = std::move(program);
+  body->compiled = std::make_shared<const datalog::CompiledProgram>(
       std::move(compiled).take());
-  gcc.fact_relations_ = FactRelations(*gcc.compiled_);
-  return gcc;
+  body->fact_relations = FactRelations(*body->compiled);
+  return Gcc(std::move(body));
 }
 
 Result<Gcc> Gcc::for_certificate(std::string name,
@@ -141,14 +141,14 @@ Result<Gcc> Gcc::from_compiled(
   if (compiled == nullptr) {
     return err("gcc '" + name + "': compiled program required");
   }
-  Gcc gcc;
-  gcc.name_ = std::move(name);
-  gcc.root_hash_ = root_hash;
-  gcc.source_ = std::move(source);
-  gcc.justification_ = std::move(justification);
-  gcc.compiled_ = std::move(compiled);
-  gcc.fact_relations_ = FactRelations(*gcc.compiled_);
-  return gcc;
+  auto body = std::make_shared<Body>();
+  body->name = std::move(name);
+  body->root_hash = root_hash;
+  body->source = std::move(source);
+  body->justification = std::move(justification);
+  body->compiled = std::move(compiled);
+  body->fact_relations = FactRelations(*body->compiled);
+  return Gcc(std::move(body));
 }
 
 bool GccStore::attach(Gcc gcc) {

@@ -55,38 +55,49 @@ class Gcc {
       std::string justification,
       std::shared_ptr<const datalog::CompiledProgram> compiled);
 
-  const std::string& name() const { return name_; }
-  const Sha256::Digest& root_hash() const { return root_hash_; }
-  std::string root_hash_hex() const { return to_hex(BytesView(root_hash_)); }
-  const std::string& source() const { return source_; }
-  const std::string& justification() const { return justification_; }
-  const datalog::Program& program() const { return program_; }
+  const std::string& name() const { return body_->name; }
+  const Sha256::Digest& root_hash() const { return body_->root_hash; }
+  std::string root_hash_hex() const { return to_hex(BytesView(root_hash())); }
+  const std::string& source() const { return body_->source; }
+  const std::string& justification() const { return body_->justification; }
+  const datalog::Program& program() const { return body_->program; }
 
   // The executable form, compiled once at create() (symbol interning, slot
-  // resolution, stratified rule ordering). Shared so copying a Gcc — GccStore
-  // hands out value copies, VerifyService snapshots them — never recompiles.
+  // resolution, stratified rule ordering) and never recompiled.
   const std::shared_ptr<const datalog::CompiledProgram>& compiled() const {
-    return compiled_;
+    return body_->compiled;
   }
   // Which fact-vocabulary relations (and valid/2) compiled() mentions,
   // resolved alongside it so a verify loads only those.
-  const FactRelations& fact_relations() const { return fact_relations_; }
+  const FactRelations& fact_relations() const {
+    return body_->fact_relations;
+  }
 
   bool operator==(const Gcc& other) const {
-    return name_ == other.name_ && root_hash_ == other.root_hash_ &&
-           source_ == other.source_;
+    return body_ == other.body_ ||
+           (name() == other.name() && root_hash() == other.root_hash() &&
+            source() == other.source());
   }
 
  private:
-  Gcc() = default;
+  // Everything a Gcc holds is fixed at construction, so copies share one
+  // body: copying a Gcc — GccStore hands out value copies, and every
+  // RootStore copy (feed retention, client replicas, VerifyService
+  // snapshots) copies its GccStore — copies a pointer, never the source,
+  // the AST or the compiled program.
+  struct Body {
+    std::string name;
+    Sha256::Digest root_hash{};
+    std::string source;
+    std::string justification;
+    datalog::Program program;
+    std::shared_ptr<const datalog::CompiledProgram> compiled;
+    FactRelations fact_relations;
+  };
 
-  std::string name_;
-  Sha256::Digest root_hash_{};
-  std::string source_;
-  std::string justification_;
-  datalog::Program program_;
-  std::shared_ptr<const datalog::CompiledProgram> compiled_;
-  FactRelations fact_relations_;
+  explicit Gcc(std::shared_ptr<const Body> body) : body_(std::move(body)) {}
+
+  std::shared_ptr<const Body> body_;
 };
 
 // Per-root constraint registry: the executable half of a root store. GCCs

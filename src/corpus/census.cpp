@@ -212,9 +212,15 @@ DisparityReport run_disparity_census(const Corpus& corpus,
   }
   const rootstore::ChainContext context = census_context(corpus);
 
-  report.chains = corpus.leaves().size();
-  for (std::size_t li = 0; li < corpus.leaves().size(); ++li) {
-    const LeafRecord& leaf = corpus.leaves()[li];
+  const std::int64_t now = corpus.config().validation_time();
+  for (const LeafRecord& leaf : corpus.leaves()) {
+    // A leaf outside its validity window is rejected as expired by every
+    // store alike; verifying it would only dilute the rates.
+    if (!leaf.cert->valid_at(now)) {
+      ++report.skipped_not_valid;
+      continue;
+    }
+    ++report.chains;
     const CaProfile& issuer =
         corpus.intermediates()[static_cast<std::size_t>(
             leaf.issuer_intermediate)];
@@ -223,7 +229,7 @@ DisparityReport run_disparity_census(const Corpus& corpus,
             .cert->fingerprint();
 
     chain::VerifyOptions options;
-    options.time = corpus.config().validation_time();
+    options.time = now;
     options.usage = leaf.smime ? chain::Usage::kSmime : chain::Usage::kTls;
     if (!leaf.smime) options.hostname = leaf.domain;
     const core::FactSet context_facts =

@@ -82,7 +82,8 @@ struct DisparityPair {
 };
 
 struct DisparityReport {
-  std::size_t chains = 0;
+  std::size_t chains = 0;  // leaves verified: those valid at the census time
+  std::size_t skipped_not_valid = 0;  // leaves expired (or not yet valid) then
   std::array<std::size_t, kPrimaryCount> accepted{};  // per store
   std::array<DisparityPair, 3> pairs;  // (0,1), (0,2), (1,2)
   // Sum of constraint_level over pairs: the disparity volume only a
@@ -90,9 +91,10 @@ struct DisparityReport {
   std::size_t constraint_only_flips = 0;
 };
 
-// Verifies every corpus leaf under each primary (with the Chrome context
-// facts supplied, so constraint GCCs evaluate rather than failing closed on
-// missing context) and classifies every pairwise verdict flip.
+// Verifies every corpus leaf valid at CorpusConfig::validation_time() under
+// each primary (with the Chrome context facts supplied, so constraint GCCs
+// evaluate rather than failing closed on missing context) and classifies
+// every pairwise verdict flip.
 DisparityReport run_disparity_census(const Corpus& corpus,
                                      const PrimaryStores& primaries);
 

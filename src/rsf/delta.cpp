@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
 #include "util/base64.hpp"
 #include "util/strings.hpp"
@@ -12,9 +11,19 @@ namespace anchor::rsf {
 StoreDelta StoreDelta::diff(const rootstore::RootStore& from,
                             const rootstore::RootStore& to) {
   StoreDelta delta;
+  // Every list below is in hash order — never insertion or hash-table
+  // order — so the encoding depends only on the two stores' contents: the
+  // delta a publisher derives from its in-memory stores is byte-identical
+  // to one derived from their deserialized payloads.
+  const auto by_fingerprint = [](const rootstore::RootEntry* a,
+                                 const rootstore::RootEntry* b) {
+    return a->cert->fingerprint() < b->cert->fingerprint();
+  };
 
   // Trusted side: additions and metadata changes.
-  for (const rootstore::RootEntry* entry : to.trusted()) {
+  std::vector<const rootstore::RootEntry*> to_trusted = to.trusted();
+  std::sort(to_trusted.begin(), to_trusted.end(), by_fingerprint);
+  for (const rootstore::RootEntry* entry : to_trusted) {
     const rootstore::RootEntry* old = from.find(entry->cert->fingerprint());
     if (old == nullptr || !(old->metadata == entry->metadata)) {
       delta.add_trusted.push_back(TrustChange{entry->cert, entry->metadata});
@@ -27,11 +36,12 @@ StoreDelta StoreDelta::diff(const rootstore::RootStore& from,
       delta.distrust.emplace_back(hash, justification);
     }
   }
-  // Hash order, not hash-table order: the encoding must not depend on how
-  // the distrust map happens to iterate.
   std::sort(delta.distrust.begin(), delta.distrust.end());
-  // Disappearances: present in `from`, absent (unknown) in `to`.
-  for (const rootstore::RootEntry* entry : from.trusted()) {
+  // Disappearances: present in `from`, absent (unknown) in `to`; forgotten
+  // trusted roots first, then forgotten distrust entries.
+  std::vector<const rootstore::RootEntry*> from_trusted = from.trusted();
+  std::sort(from_trusted.begin(), from_trusted.end(), by_fingerprint);
+  for (const rootstore::RootEntry* entry : from_trusted) {
     const Sha256::Digest& hash = entry->cert->fingerprint();
     if (to.state_of(hash) == rootstore::TrustState::kUnknown) {
       delta.forget.push_back(hash);
@@ -47,29 +57,26 @@ StoreDelta StoreDelta::diff(const rootstore::RootStore& from,
                 static_cast<std::ptrdiff_t>(forgotten_trusted),
             delta.forget.end());
 
-  // GCC side, keyed by (root, name).
-  auto gcc_key = [](const core::Gcc& gcc) {
-    return gcc.root_hash_hex() + "|" + gcc.name();
-  };
-  std::unordered_set<std::string> in_to;
+  // GCC side, keyed by (root, name); per root in attachment order, which
+  // serialization preserves. A GCC copied from `from` shares its body, so
+  // the equality check is one pointer comparison.
   for (const auto& root : to.gccs().roots_sorted()) {
+    const std::vector<core::Gcc>& before = from.gccs().for_root(root);
     for (const core::Gcc& gcc : to.gccs().for_root(root)) {
-      in_to.insert(gcc_key(gcc));
-      bool same = false;
-      for (const core::Gcc& old : from.gccs().for_root(root)) {
-        if (old == gcc && old.justification() == gcc.justification()) {
-          same = true;
-          break;
-        }
-      }
+      const bool same = std::any_of(
+          before.begin(), before.end(), [&](const core::Gcc& old) {
+            return old == gcc && old.justification() == gcc.justification();
+          });
       if (!same) delta.attach_gccs.push_back(gcc);
     }
   }
   for (const auto& root : from.gccs().roots_sorted()) {
+    const std::vector<core::Gcc>& after = to.gccs().for_root(root);
     for (const core::Gcc& gcc : from.gccs().for_root(root)) {
-      if (!in_to.contains(gcc_key(gcc))) {
-        delta.detach_gccs.emplace_back(gcc.root_hash(), gcc.name());
-      }
+      const bool kept = std::any_of(
+          after.begin(), after.end(),
+          [&](const core::Gcc& now) { return now.name() == gcc.name(); });
+      if (!kept) delta.detach_gccs.emplace_back(gcc.root_hash(), gcc.name());
     }
   }
 

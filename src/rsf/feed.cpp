@@ -85,6 +85,18 @@ SignedTreeHead Feed::make_sth_locked(std::uint64_t tree_size) const {
   return sths_[tree_size - 1];
 }
 
+void Feed::append_locked(Snapshot snap, std::string delta) {
+  tree_.append(BytesView(snap.transcript()));
+  SignedTreeHead sth;
+  sth.tree_size = snap.sequence;
+  sth.root_hash = tree_.root();
+  sth.published_at = snap.published_at;
+  sth.signature = SimSig::sign(key_, BytesView(sth.transcript()));
+  snapshots_.push_back(std::move(snap));
+  deltas_.push_back(std::move(delta));
+  sths_.push_back(std::move(sth));
+}
+
 std::uint64_t Feed::publish(const rootstore::RootStore& store,
                             std::int64_t published_at,
                             std::string annotation) {
@@ -97,16 +109,10 @@ std::uint64_t Feed::publish(const rootstore::RootStore& store,
   snap.payload_hash = Sha256::hash_hex(BytesView(to_bytes(snap.payload)));
   snap.prev_hash = snapshots_.empty() ? "" : snapshots_.back().payload_hash;
   snap.signature = SimSig::sign(key_, BytesView(snap.transcript()));
-  tree_.append(BytesView(snap.transcript()));
-
-  SignedTreeHead sth;
-  sth.tree_size = snap.sequence;
-  sth.root_hash = tree_.root();
-  sth.published_at = published_at;
-  sth.signature = SimSig::sign(key_, BytesView(sth.transcript()));
-
-  snapshots_.push_back(std::move(snap));
-  sths_.push_back(std::move(sth));
+  std::string delta =
+      published_ ? StoreDelta::diff(*published_, store).serialize() : "";
+  append_locked(std::move(snap), std::move(delta));
+  published_ = store;
   return snapshots_.size();
 }
 
@@ -172,13 +178,12 @@ Result<FeedFetch> Feed::feed_fetch(const FeedFetchQuery& query) const {
   if (query.want_deltas) {
     out.deltas.reserve(out.snapshots.size());
     for (const Snapshot& snap : out.snapshots) {
-      auto delta = fetch_delta_locked(snap.sequence);
-      // A delta that cannot be derived (e.g. a corrupted stored payload)
-      // must not take the whole response down: serve the snapshots with a
-      // partial delta list and let the poller fall back to full payloads —
-      // where its own verification then catches any corruption.
-      if (!delta) break;
-      out.deltas.push_back(std::move(delta).take());
+      // A missing delta must not take the whole response down: serve the
+      // snapshots with a partial delta list and let the poller fall back
+      // to full payloads — where its own checks then catch any fault.
+      const std::string& delta = deltas_[snap.sequence - 1];
+      if (delta.empty()) break;
+      out.deltas.push_back(delta);
     }
   }
   return out;
@@ -198,23 +203,6 @@ const Snapshot* Feed::at(std::uint64_t sequence) const {
   return &snapshots_[sequence - 1];
 }
 
-Result<std::string> Feed::fetch_delta_locked(std::uint64_t sequence) const {
-  if (sequence == 0 || sequence > snapshots_.size()) {
-    return err("rsf: no snapshot " + std::to_string(sequence));
-  }
-  rootstore::RootStore previous;
-  if (sequence > 1) {
-    auto parsed =
-        rootstore::RootStore::deserialize(snapshots_[sequence - 2].payload);
-    if (!parsed) return err(parsed.error());
-    previous = std::move(parsed).take();
-  }
-  auto current =
-      rootstore::RootStore::deserialize(snapshots_[sequence - 1].payload);
-  if (!current) return err(current.error());
-  return StoreDelta::diff(previous, current.value()).serialize();
-}
-
 Status Feed::restore(std::vector<Snapshot> run) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!snapshots_.empty()) return err("rsf: restore into a non-empty feed");
@@ -225,15 +213,15 @@ Status Feed::restore(std::vector<Snapshot> run) {
   }
   Status verified = verify_run(run, "", BytesView(key_.key_id), registry_);
   if (!verified) return verified;
-  snapshots_ = std::move(run);
-  for (const Snapshot& snap : snapshots_) {
-    tree_.append(BytesView(snap.transcript()));
-    SignedTreeHead sth;
-    sth.tree_size = snap.sequence;
-    sth.root_hash = tree_.root();
-    sth.published_at = snap.published_at;
-    sth.signature = SimSig::sign(key_, BytesView(sth.transcript()));
-    sths_.push_back(std::move(sth));
+  for (Snapshot& snap : run) {
+    auto parsed = rootstore::RootStore::deserialize(snap.payload);
+    std::optional<rootstore::RootStore> current;
+    if (parsed) current = std::move(parsed).take();
+    std::string delta = published_ && current
+                            ? StoreDelta::diff(*published_, *current).serialize()
+                            : "";
+    published_ = std::move(current);
+    append_locked(std::move(snap), std::move(delta));
   }
   return {};
 }

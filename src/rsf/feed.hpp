@@ -45,9 +45,11 @@ struct Snapshot {
   // The byte string the signature covers; also the Merkle leaf entry.
   Bytes transcript() const;
 
-  // Serialized footprint on the feed-fetch wire. The payload is the
-  // dominant term; delta-mode polls ship headers only (the payload travels
-  // as a StoreDelta instead), so it is optional here.
+  // Serialized footprint on the feed-fetch wire, the payload being the
+  // dominant term. `include_payload = false` prices a delta-mode poll as
+  // if it shipped headers only (the payload travelling as a StoreDelta
+  // instead); the anchord codec does not do that yet — it writes every
+  // snapshot's payload in delta mode too — so that price is a model.
   std::size_t wire_size(bool include_payload) const;
 
   bool operator==(const Snapshot&) const = default;
@@ -114,7 +116,9 @@ class Feed {
 
   // Publishes a new snapshot of `store` and signs the tree head covering
   // it. Returns the assigned sequence. Safe against concurrent feed_fetch
-  // / fetch_since / tree_head callers.
+  // / fetch_since / tree_head callers. The snapshot's StoreDelta is derived
+  // here, once, by diffing a retained copy of the previously published
+  // store (the empty store before the first publication) against `store`.
   std::uint64_t publish(const rootstore::RootStore& store,
                         std::int64_t published_at, std::string annotation);
 
@@ -150,7 +154,9 @@ class Feed {
   // adopts it, recomputing the Merkle tree and re-signing every historic
   // tree head (the key is deterministic, so the heads are identical to the
   // ones the original publisher signed). Fails closed; the feed must be
-  // empty.
+  // empty. Each payload is deserialized once, in order, to derive the
+  // deltas between consecutive snapshots; a signed payload that does not
+  // deserialize (a publisher bug) gets no delta, nor does its successor.
   Status restore(std::vector<Snapshot> run);
 
   // What, structurally, made a run fail verification. Lets the client
@@ -180,20 +186,27 @@ class Feed {
 
  private:
   SignedTreeHead make_sth_locked(std::uint64_t tree_size) const;
-  // Delta transport: the serialized StoreDelta turning snapshot
-  // `sequence-1` into snapshot `sequence` (for sequence 1, a delta from the
-  // empty store), shipped inline by feed_fetch when the query asks for
-  // deltas. Clients apply deltas to their local replica and verify the
-  // result against the snapshot's signed payload hash — integrity derives
-  // from the snapshot signature, so deltas need no signature of their own.
-  // Computed on demand; empty Result on bad sequence.
-  Result<std::string> fetch_delta_locked(std::uint64_t sequence) const;
+  // Appends a signed snapshot, its serialized delta ("" when none could be
+  // derived) and the tree head covering it.
+  void append_locked(Snapshot snap, std::string delta);
 
   std::string name_;
   SimKeyPair key_;
   SimSig& registry_;
-  mutable std::mutex mu_;  // guards snapshots_, sths_, tree_
+  mutable std::mutex mu_;  // guards every member below
   std::vector<Snapshot> snapshots_;
+  // Delta transport: deltas_[i] is the serialized StoreDelta turning
+  // snapshot `sequence` i into snapshot i+1 (for the first, a delta from
+  // the empty store), shipped inline by feed_fetch when the query asks for deltas.
+  // Clients apply deltas to their local replica and verify the result
+  // against the snapshot's signed payload hash — integrity derives from
+  // the snapshot signature, so deltas need no signature of their own. ""
+  // where no delta could be derived (restore() met an unparsable payload).
+  std::vector<std::string> deltas_;
+  // The store the head snapshot serializes, which the next publish() diffs
+  // against; empty when that payload did not deserialize. A copy shares
+  // its root entries and GCC bodies with the publisher's store.
+  std::optional<rootstore::RootStore> published_ = rootstore::RootStore{};
   std::vector<SignedTreeHead> sths_;  // sths_[i] covers tree size i+1
   ctlog::MerkleTree tree_;            // leaves: snapshot transcripts
 };

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "rootstore/store.hpp"
+
 namespace anchor::core {
 namespace {
 
@@ -117,6 +119,83 @@ TEST(GccStore, RootsSortedIsDeterministic) {
   ASSERT_EQ(roots.size(), 2u);
   EXPECT_EQ(roots[0], kRoot);
   EXPECT_EQ(roots[1], kOtherRoot);
+}
+
+// A Gcc's body (source, AST, compiled program) is immutable and shared, so
+// copying a store copies pointers: every RootStore copy — a feed's retained
+// store, a client's replica, a VerifyService snapshot — shares each GCC.
+TEST(GccSharing, StoreCopySharesEachGccBody) {
+  rootstore::RootStore store;
+  store.attach_gcc(Gcc::create("a", kHash, kMinimalValid, "why").take());
+  store.attach_gcc(Gcc::create("b", kHash, kMinimalValid).take());
+  store.attach_gcc(Gcc::create("c", kOtherHash, kMinimalValid).take());
+
+  const rootstore::RootStore copy = store;
+  for (const Sha256::Digest& root : {kRoot, kOtherRoot}) {
+    const auto& original = store.gccs().for_root(root);
+    const auto& copied = copy.gccs().for_root(root);
+    ASSERT_EQ(copied.size(), original.size());
+    for (std::size_t i = 0; i < original.size(); ++i) {
+      EXPECT_EQ(&copied[i].source(), &original[i].source());
+      EXPECT_EQ(&copied[i].program(), &original[i].program());
+      EXPECT_EQ(copied[i].compiled().get(), original[i].compiled().get());
+      EXPECT_TRUE(copied[i] == original[i]);
+    }
+  }
+}
+
+TEST(GccSharing, MutatingACopyLeavesTheOriginalAlone) {
+  rootstore::RootStore store;
+  store.attach_gcc(Gcc::create("a", kHash, kMinimalValid, "v1").take());
+  store.attach_gcc(Gcc::create("b", kOtherHash, kMinimalValid).take());
+  const std::string before = store.serialize();
+  const std::uint64_t version = store.gccs().version();
+  const std::uint64_t epoch = store.epoch();
+  const Gcc* original_a = &store.gccs().for_root(kRoot)[0];
+  const std::string* original_source = &original_a->source();
+
+  rootstore::RootStore copy = store;
+  copy.attach_gcc(Gcc::create("a", kHash, kMinimalValid, "v2").take());
+  copy.attach_gcc(Gcc::create("d", kHash, kMinimalValid).take());
+  EXPECT_TRUE(copy.detach_gcc(kOtherRoot, "b"));
+  EXPECT_EQ(copy.gccs().for_root(kRoot)[0].justification(), "v2");
+  EXPECT_EQ(copy.gccs().total(), 2u);
+
+  EXPECT_EQ(store.serialize(), before);
+  EXPECT_EQ(store.gccs().version(), version);
+  EXPECT_EQ(store.epoch(), epoch);
+  ASSERT_EQ(store.gccs().for_root(kRoot).size(), 1u);
+  EXPECT_EQ(store.gccs().for_root(kRoot)[0].justification(), "v1");
+  EXPECT_EQ(&store.gccs().for_root(kRoot)[0].source(), original_source);
+  EXPECT_EQ(store.gccs().for_root(kOtherRoot).size(), 1u);
+}
+
+TEST(GccSharing, ByteIdenticalReattachOnACopyIsANoOp) {
+  rootstore::RootStore store;
+  store.attach_gcc(Gcc::create("a", kHash, kMinimalValid, "why").take());
+  rootstore::RootStore copy = store;
+  const std::uint64_t version = copy.gccs().version();
+  const std::uint64_t epoch = copy.epoch();
+  // Both a shared copy and an independently compiled equal GCC.
+  copy.attach_gcc(store.gccs().for_root(kRoot)[0]);
+  copy.attach_gcc(Gcc::create("a", kHash, kMinimalValid, "why").take());
+  EXPECT_EQ(copy.gccs().version(), version);
+  EXPECT_EQ(copy.epoch(), epoch);
+}
+
+TEST(GccSharing, FromCompiledSharesTheProgramItIsGiven) {
+  const Gcc source = Gcc::create("a", kHash, kMinimalValid, "why").take();
+  auto restored = Gcc::from_compiled("a", kRoot, source.source(), "why",
+                                     source.compiled());
+  ASSERT_TRUE(restored.ok()) << restored.error();
+  const Gcc copy = restored.value();
+  EXPECT_EQ(copy.compiled().get(), source.compiled().get());
+  EXPECT_EQ(&copy.source(), &restored.value().source());
+  EXPECT_TRUE(copy.program().clauses.empty());
+  EXPECT_TRUE(copy == source);
+  EXPECT_EQ(copy.fact_relations().valid(), source.fact_relations().valid());
+  EXPECT_FALSE(
+      Gcc::from_compiled("a", kRoot, source.source(), "", nullptr).ok());
 }
 
 }  // namespace
