@@ -149,13 +149,23 @@ Result<CompressedRevocationSet> CompressedRevocationSet::Builder::build(
   return set;
 }
 
+bool CompressedRevocationSet::enrolled_digest(
+    const Sha256::Digest& spki_hash) const {
+  std::array<char, 2 * Sha256::kDigestSize> hex;
+  to_hex_into(BytesView(spki_hash), hex.data());
+  return enrolled_.contains(std::string_view(hex.data(), hex.size()));
+}
+
 bool CompressedRevocationSet::is_enrolled(BytesView issuer_spki) const {
-  return enrolled_.contains(Sha256::hash_hex(issuer_spki));
+  return enrolled_digest(Sha256::hash(issuer_spki));
 }
 
 bool CompressedRevocationSet::contains(BytesView issuer_spki,
                                        BytesView serial) const {
-  const std::string key = key_for(Sha256::hash(issuer_spki), serial);
+  return cascade_revoked(key_for(Sha256::hash(issuer_spki), serial));
+}
+
+bool CompressedRevocationSet::cascade_revoked(const std::string& key) const {
   for (std::size_t i = 0; i < levels_.size(); ++i) {
     if (!level_contains(levels_[i], i, key)) {
       // Absent from an odd (revoked-side) level => not revoked; absent from
@@ -169,8 +179,10 @@ bool CompressedRevocationSet::contains(BytesView issuer_spki,
 
 RevocationStatus CompressedRevocationSet::check(const x509::Certificate& cert,
                                                 BytesView issuer_spki) const {
-  if (!is_enrolled(issuer_spki)) return RevocationStatus::kUnknown;
-  return contains(issuer_spki, BytesView(cert.serial()))
+  // One digest of the issuer SPKI serves both lookups.
+  const Sha256::Digest spki_hash = Sha256::hash(issuer_spki);
+  if (!enrolled_digest(spki_hash)) return RevocationStatus::kUnknown;
+  return cascade_revoked(key_for(spki_hash, BytesView(cert.serial())))
              ? RevocationStatus::kRevoked
              : RevocationStatus::kGood;
 }

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -60,7 +61,7 @@ class CompressedRevocationSet : public Provider {
         const;
 
    private:
-    std::set<std::string> enrolled_;  // hex(sha256(spki))
+    std::set<std::string, std::less<>> enrolled_;  // hex(sha256(spki))
     std::set<std::string> revoked_;   // hex key (see key_for)
     std::set<std::string> valid_;
   };
@@ -102,6 +103,9 @@ class CompressedRevocationSet : public Provider {
   };
 
   static std::string key_for(const Sha256::Digest& spki_hash, BytesView serial);
+  // is_enrolled and contains, given the issuer SPKI's digest.
+  bool enrolled_digest(const Sha256::Digest& spki_hash) const;
+  bool cascade_revoked(const std::string& key) const;
   bool level_contains(const Level& level, std::size_t index,
                       const std::string& key) const;
   static void level_insert(Level& level, std::size_t index,
@@ -109,7 +113,8 @@ class CompressedRevocationSet : public Provider {
 
   std::uint64_t salt_ = 0;
   std::vector<Level> levels_;
-  std::set<std::string> enrolled_;  // hex(sha256(spki)), sorted for serialize
+  // hex(sha256(spki)), sorted for serialize
+  std::set<std::string, std::less<>> enrolled_;
 };
 
 }  // namespace anchor::revocation

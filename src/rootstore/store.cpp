@@ -46,6 +46,9 @@ Status RootStore::add_trusted(x509::CertPtr cert, RootMetadata metadata) {
 void RootStore::add_trusted_unchecked(x509::CertPtr cert,
                                       RootMetadata metadata) {
   const Sha256::Digest hash = cert->fingerprint();
+  // A root sits in at most one of the two sets, so the store serializes to
+  // the state it answers: re-trusting lifts the distrust.
+  if (distrusted_.erase(hash) > 0) std::erase(distrusted_order_, hash);
   auto it = trusted_.find(hash);
   // Same fingerprint ⇒ same certificate bytes; only a metadata change can
   // alter a verification outcome. A byte-identical re-add must not bump
@@ -380,8 +383,7 @@ Result<RootStore> RootStore::deserialize(std::string_view text) {
 }
 
 std::string RootStore::content_hash_hex() const {
-  std::string serialized = serialize();
-  return Sha256::hash_hex(BytesView(to_bytes(serialized)));
+  return Sha256::hash_hex(view_bytes(serialize()));
 }
 
 void export_store_metrics(const StoreReader& store,

@@ -129,8 +129,9 @@ class RootStore : public StoreReader {
   // Distinct from distrust. Returns true if it was present in either set.
   bool forget(Sha256::Digest hash);
 
-  // Force-adds a trusted root even if distrusted (used by merge tooling to
-  // model derivative stores that re-add removed roots, as Amazon Linux did).
+  // Force-adds a trusted root even if distrusted, dropping the distrust
+  // entry (used by merge tooling to model derivative stores that re-add
+  // removed roots, as Amazon Linux did).
   void add_trusted_unchecked(x509::CertPtr cert, RootMetadata metadata = {});
 
   TrustState state_of(const Sha256::Digest& hash) const override;

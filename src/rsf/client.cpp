@@ -406,7 +406,7 @@ std::size_t RsfClient::adopt_verified_run(
       ++replayed;
     }
     if (replay_ok &&
-        Sha256::hash_hex(BytesView(to_bytes(replica.serialize()))) ==
+        Sha256::hash_hex(view_bytes(replica.serialize())) ==
             head_snap.payload_hash) {
       stats_.bytes_fetched += delta_bytes;
       stats_.deltas_applied += replayed;

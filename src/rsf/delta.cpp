@@ -97,12 +97,8 @@ void StoreDelta::apply(rootstore::RootStore& store) const {
     store.distrust(hash, justification);
   }
   for (const auto& change : add_trusted) {
-    // The primary's decision is authoritative: clear any stale distrust
-    // entry before re-adding.
-    if (store.state_of(change.cert->fingerprint()) ==
-        rootstore::TrustState::kDistrusted) {
-      store.forget(change.cert->fingerprint());
-    }
+    // The primary's decision is authoritative: this also lifts any stale
+    // distrust entry.
     store.add_trusted_unchecked(change.cert, change.metadata);
   }
   for (const auto& [root, name] : detach_gccs) {

@@ -106,7 +106,7 @@ std::uint64_t Feed::publish(const rootstore::RootStore& store,
   snap.published_at = published_at;
   snap.annotation = std::move(annotation);
   snap.payload = store.serialize();
-  snap.payload_hash = Sha256::hash_hex(BytesView(to_bytes(snap.payload)));
+  snap.payload_hash = Sha256::hash_hex(view_bytes(snap.payload));
   snap.prev_hash = snapshots_.empty() ? "" : snapshots_.back().payload_hash;
   snap.signature = SimSig::sign(key_, BytesView(snap.transcript()));
   std::string delta =
@@ -252,8 +252,7 @@ Status Feed::verify_run(std::span<const Snapshot> run,
                   "rsf: hash chain broken at sequence " +
                       std::to_string(snap.sequence));
     }
-    std::string recomputed =
-        Sha256::hash_hex(BytesView(to_bytes(snap.payload)));
+    std::string recomputed = Sha256::hash_hex(view_bytes(snap.payload));
     if (recomputed != snap.payload_hash) {
       return fail(RunFault::kPayloadHash,
                   "rsf: payload hash mismatch at sequence " +

@@ -38,7 +38,6 @@ MergeResult merge(const rootstore::RootStore& primary,
             ConflictKind::kDistrustedReAdded, entry->cert->fingerprint_hex(),
             "derivative trusts a root the primary explicitly distrusts"});
         if (policy == MergePolicy::kDerivativeWins) {
-          result.merged.forget(hash);
           result.merged.add_trusted_unchecked(entry->cert, entry->metadata);
         }
         break;

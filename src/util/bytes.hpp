@@ -33,6 +33,10 @@ void append(Bytes& dst, BytesView src);
 
 // Bytes of a UTF-8/ASCII string, and back.
 Bytes to_bytes(std::string_view s);
+// The same bytes in place, without a copy; valid as long as `s` is.
+inline BytesView view_bytes(std::string_view s) {
+  return BytesView(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
+}
 std::string to_string(BytesView b);
 
 }  // namespace anchor

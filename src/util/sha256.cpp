@@ -1,6 +1,14 @@
 #include "util/sha256.hpp"
 
+#include <algorithm>
 #include <cstring>
+
+#include "util/sha256_kernels.hpp"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace anchor {
 
@@ -29,7 +37,139 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
 
 }  // namespace
 
-Sha256::Sha256() : state_(kInitialState), buffer_{} {}
+namespace sha256_kernels {
+
+void scalar(std::uint32_t* state, const std::uint8_t* blocks,
+            std::size_t count) {
+  for (; count > 0; --count, blocks += 64) {
+    std::array<std::uint32_t, 64> w;
+    for (int i = 0; i < 16; ++i) {
+      w[i] = static_cast<std::uint32_t>(blocks[4 * i]) << 24 |
+             static_cast<std::uint32_t>(blocks[4 * i + 1]) << 16 |
+             static_cast<std::uint32_t>(blocks[4 * i + 2]) << 8 |
+             static_cast<std::uint32_t>(blocks[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      std::uint32_t ch = (e & f) ^ (~e & g);
+      std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if defined(__x86_64__)
+
+// SHA-NI keeps the state as two vectors, ABEF and CDGH (high lane first);
+// each sha256rnds2 runs two rounds, taking W[i] + K[i] from the low 64
+// bits of its third operand. The message schedule for rounds 16..63 comes
+// from sha256msg1/msg2, four words at a time, in a ring of four vectors.
+__attribute__((target("sha,sse4.1,ssse3"))) void sha_ni(
+    std::uint32_t* state, const std::uint8_t* blocks, std::size_t count) {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+  for (; count > 0; --count, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      // w[i % 4] becomes W[4i .. 4i+3].
+      if (i < 4) {
+        w[i] = _mm_shuffle_epi8(
+            _mm_loadu_si128(
+                reinterpret_cast<const __m128i*>(blocks + 16 * i)),
+            byte_swap);
+      } else {
+        const __m128i& prev = w[(i + 3) % 4];
+        __m128i next = _mm_sha256msg1_epu32(w[i % 4], w[(i + 1) % 4]);
+        next = _mm_add_epi32(next, _mm_alignr_epi8(prev, w[(i + 2) % 4], 4));
+        w[i % 4] = _mm_sha256msg2_epu32(next, prev);
+      }
+      __m128i wk = _mm_add_epi32(
+          w[i % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                        kRoundConstants.data() + 4 * i)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      wk = _mm_shuffle_epi32(wk, 0x0e);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+  hgfe = _mm_alignr_epi8(dchg, feba, 8);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), dcba);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), hgfe);
+}
+
+bool cpu_has_sha_ni() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+  if ((ecx & bit_SSSE3) == 0 || (ecx & bit_SSE4_1) == 0) return false;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  return (ebx & bit_SHA) != 0;
+}
+
+#else
+
+bool cpu_has_sha_ni() { return false; }
+
+#endif
+
+Sha256::Kernel active() {
+  static const Sha256::Kernel kernel = [] {
+#if defined(__x86_64__)
+    if (cpu_has_sha_ni()) return &sha_ni;
+#endif
+    return &scalar;
+  }();
+  return kernel;
+}
+
+}  // namespace sha256_kernels
+
+Sha256::Sha256() : Sha256(sha256_kernels::active()) {}
+
+Sha256::Sha256(Kernel kernel)
+    : kernel_(kernel), state_(kInitialState), buffer_{} {}
 
 void Sha256::update(BytesView data) {
   // An empty span may carry a null data(), which memcpy must never see.
@@ -42,13 +182,13 @@ void Sha256::update(BytesView data) {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == buffer_.size()) {
-      process_block(buffer_.data());
+      kernel_(state_.data(), buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  if (const std::size_t blocks = (data.size() - offset) / 64; blocks > 0) {
+    kernel_(state_.data(), data.data() + offset, blocks);
+    offset += 64 * blocks;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -57,17 +197,16 @@ void Sha256::update(BytesView data) {
 }
 
 Sha256::Digest Sha256::finish() {
-  std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_start = 0x80;
-  update(BytesView(&pad_start, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(BytesView(&zero, 1));
-  std::array<std::uint8_t, 8> len_bytes;
+  // 0x80, zeros up to 56 mod 64, then the 64-bit big-endian bit length:
+  // 9 to 72 bytes, fed as one update.
+  const std::uint64_t bit_len = total_len_ * 8;
+  std::array<std::uint8_t, 72> padding{};
+  const std::size_t zeros = (buffer_len_ < 56 ? 55 : 119) - buffer_len_;
+  padding[0] = 0x80;
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    padding[1 + zeros + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  // Adjust total_len_ bookkeeping is irrelevant past this point.
-  update(BytesView(len_bytes.data(), len_bytes.size()));
+  update(BytesView(padding.data(), 1 + zeros + 8));
 
   Digest digest;
   for (int i = 0; i < 8; ++i) {
@@ -77,47 +216,6 @@ Sha256::Digest Sha256::finish() {
     digest[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
   }
   return digest;
-}
-
-void Sha256::process_block(const std::uint8_t* block) {
-  std::array<std::uint32_t, 64> w;
-  for (int i = 0; i < 16; ++i) {
-    w[i] = static_cast<std::uint32_t>(block[4 * i]) << 24 |
-           static_cast<std::uint32_t>(block[4 * i + 1]) << 16 |
-           static_cast<std::uint32_t>(block[4 * i + 2]) << 8 |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  auto [a, b, c, d, e, f, g, h] = state_;
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    std::uint32_t ch = (e & f) ^ (~e & g);
-    std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 Sha256::Digest Sha256::hash(BytesView data) {

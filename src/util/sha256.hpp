@@ -1,7 +1,10 @@
 // FIPS 180-4 SHA-256, implemented from scratch so the library has no
 // external crypto dependency. Used for GCC-to-root binding (the paper
 // attaches each General Certificate Constraint to a root by SHA-256 hash),
-// for certificate fingerprints, and as the core of SimSig tags.
+// for certificate fingerprints, and as the core of SimSig tags. Blocks are
+// compressed by a SHA-NI kernel where the CPU has one and by a portable
+// scalar kernel elsewhere (util/sha256_kernels.hpp); both give the same
+// digests.
 #pragma once
 
 #include <array>
@@ -18,8 +21,15 @@ class Sha256 {
  public:
   static constexpr std::size_t kDigestSize = 32;
   using Digest = std::array<std::uint8_t, kDigestSize>;
+  // Compresses `count` consecutive 64-byte blocks into `state`.
+  using Kernel = void (*)(std::uint32_t* state, const std::uint8_t* blocks,
+                          std::size_t count);
 
+  // Hashes with the kernel chosen for this CPU.
   Sha256();
+  // Hashes with the given kernel, one of util/sha256_kernels.hpp; for
+  // tests and benchmarks that compare kernels.
+  explicit Sha256(Kernel kernel);
 
   // Streaming interface: update() any number of times, then finish().
   void update(BytesView data);
@@ -31,8 +41,7 @@ class Sha256 {
   static std::string hash_hex(BytesView data);
 
  private:
-  void process_block(const std::uint8_t* block);
-
+  Kernel kernel_;
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffer_len_ = 0;

@@ -71,9 +71,10 @@ TEST(RootStore, UncheckedAddModelsNonCompliantDerivative) {
   CertPtr a = make_root("A");
   store.distrust(a->fingerprint(), "removed");
   store.add_trusted_unchecked(a);
-  // Both sets now mention the root — the dangerous state merge flags.
+  // The re-add lifts the distrust: the root is trusted, and only trusted.
+  EXPECT_EQ(store.state_of(a->fingerprint()), TrustState::kTrusted);
   EXPECT_EQ(store.trusted_count(), 1u);
-  EXPECT_EQ(store.distrusted_count(), 1u);
+  EXPECT_EQ(store.distrusted_count(), 0u);
 }
 
 TEST(RootStore, ForgetReturnsToUnknown) {

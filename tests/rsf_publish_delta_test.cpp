@@ -240,6 +240,39 @@ TEST_P(PublishDelta, ServedDeltasMatchThePayloadDiffAndReplayExactly) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PublishDelta, ::testing::Values(1u, 7u, 42u, 99u, 2024u));
 
+// Re-trusting a distrusted root with add_trusted_unchecked (a derivative
+// re-adding what its upstream removed) lifts the distrust. The store then
+// survives its own serialization, and a delta-mode poller replays the
+// change without falling back to the full snapshot.
+TEST(PublishDeltaRetrust, ReTrustedRootIsTrustedInPayloadAndReplica) {
+  SimSig registry;
+  Feed feed("retrust", registry);
+  RsfClient poller(feed, 3600, MergePolicy::kPrimaryWins, Transport::kDelta);
+  const CertPtr root = make_root("Retrusted Root");
+  const Sha256::Digest hash = root->fingerprint();
+
+  rootstore::RootStore store;
+  (void)store.add_trusted(make_root("Bystander Root"));
+  store.distrust(hash, "incident");
+  feed.publish(store, kStart, "distrust");
+  EXPECT_GE(poller.poll_now(kStart + 1), 1u);
+  EXPECT_EQ(poller.store().state_of(hash), rootstore::TrustState::kDistrusted);
+
+  store.add_trusted_unchecked(root);
+  ASSERT_EQ(store.state_of(hash), rootstore::TrustState::kTrusted);
+  auto round_trip = rootstore::RootStore::deserialize(store.serialize());
+  ASSERT_TRUE(round_trip.ok()) << round_trip.error();
+  EXPECT_EQ(round_trip.value().state_of(hash), rootstore::TrustState::kTrusted);
+  EXPECT_EQ(round_trip.value().serialize(), store.serialize());
+
+  feed.publish(store, kStart + 3600, "re-trust");
+  EXPECT_GE(poller.poll_now(kStart + 3601), 1u);
+  EXPECT_EQ(poller.last_applied_sequence(), 2u);
+  EXPECT_EQ(poller.stats().delta_fallbacks, 0u);
+  EXPECT_EQ(poller.store().state_of(hash), rootstore::TrustState::kTrusted);
+  EXPECT_EQ(poller.store().serialize(), feed.at(2)->payload);
+}
+
 // A signed payload that does not deserialize gets no delta, nor does its
 // successor (there is no store to diff against); the feed serves the
 // snapshots with the delta list cut short, and derives again after that.

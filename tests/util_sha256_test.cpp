@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "util/rng.hpp"
+#include "util/sha256_kernels.hpp"
 
 namespace anchor {
 namespace {
@@ -31,13 +35,58 @@ TEST(Sha256, MillionAs) {
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
+// Known answers around the padding edges: 55 bytes is the longest input
+// that pads within its own block, 56-63 spill the length into a second
+// block, 64 is block-aligned, and 111-128 repeat those edges one block
+// on. The input is byte i = 31i + 7 (mod 256); the digests were computed
+// with coreutils `sha256sum`. Each kernel is checked on its own.
+Bytes kat_input(std::size_t n) {
+  Bytes out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>(31 * i + 7);
+  }
+  return out;
+}
+
+std::vector<std::pair<const char*, Sha256::Kernel>> kernels_on_this_cpu() {
+  std::vector<std::pair<const char*, Sha256::Kernel>> out = {
+      {"scalar", &sha256_kernels::scalar}};
+#if defined(__x86_64__)
+  if (sha256_kernels::cpu_has_sha_ni()) {
+    out.emplace_back("sha_ni", &sha256_kernels::sha_ni);
+  }
+#endif
+  return out;
+}
+
 TEST(Sha256, ExactBlockBoundaries) {
-  // 55/56/64-byte inputs exercise the padding edge cases.
-  EXPECT_EQ(Sha256::hash_hex(Bytes(55, 'x')),
-            Sha256::hash_hex(Bytes(55, 'x')));
-  Bytes b56(56, 0x41);
-  Bytes b64(64, 0x41);
-  EXPECT_NE(Sha256::hash_hex(b56), Sha256::hash_hex(b64));
+  const std::pair<std::size_t, const char*> kAnswers[] = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {1, "ca358758f6d27e6cf45272937977a748fd88391db679ceda7dc7bf1f005ee879"},
+      {55, "8aa994584139d128848eeebc4e815639ba5ab6e6e39574195a63ac4f14f7c43b"},
+      {56, "ad574708f75c044c9b85de64cb568ee7711ff4f36448c6242f053ba8f6cc2b63"},
+      {63, "280ed3e8ff1df845b2e7dfe6ac6cee817bef20e783cc65abc41b818b4d2fe076"},
+      {64, "c6ab9724ade5b6a7a1edfffb12f3aa9181351355af8fd08c919952ad211339dd"},
+      {65, "788367c73c7ddf4c53f65e68cc0d943e6227ab55b0e78ba63ace822b1c6301c0"},
+      {111, "dd1413178fb627f9abbc041ffe39c44aa7aaa0e2e6d2ca5c4528ac7073a2da45"},
+      {112, "a65c92dac124062d0ab951a42773cb04fc98d1d4bf8897b176f8cff3509d379e"},
+      {119, "3d610547d68216dedf7435a4fb6260353911f6b3fd3f18805ddb8be285d726fe"},
+      {120, "1f80156a804cb7862ad113e8200e9d74499723e7c7854d5f48776d3148e09656"},
+      {128, "cc548ca2dec1f6fe4f58b2e27aa9c7521607df1130d140b55a4dad0665302356"},
+  };
+  for (const auto& [name, kernel] : kernels_on_this_cpu()) {
+    for (const auto& [length, expected] : kAnswers) {
+      Sha256 h(kernel);
+      h.update(kat_input(length));
+      const Sha256::Digest digest = h.finish();
+      EXPECT_EQ(to_hex(BytesView(digest)), expected)
+          << name << " length " << length;
+    }
+  }
+  for (const auto& [length, expected] : kAnswers) {
+    EXPECT_EQ(Sha256::hash_hex(kat_input(length)), expected)
+        << "default kernel, length " << length;
+  }
 }
 
 // Property: streaming updates produce the same digest as one-shot hashing,

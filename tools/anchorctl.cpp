@@ -749,7 +749,7 @@ int cmd_feed_publish(int argc, char** argv) {
   snap.published_at = published_at;
   snap.annotation = flag_value(argc, argv, "--note", "");
   snap.payload = store.value().serialize();
-  snap.payload_hash = Sha256::hash_hex(BytesView(to_bytes(snap.payload)));
+  snap.payload_hash = Sha256::hash_hex(view_bytes(snap.payload));
   snap.prev_hash =
       existing.value().empty() ? "" : existing.value().back().payload_hash;
   SimKeyPair key = SimSig::keygen("rsf-feed-" + name.value());
