@@ -10,9 +10,11 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <map>
 
 #include "corpus/corpus.hpp"
 #include "ctlog/log.hpp"
+#include "ctlog/merkle.hpp"
 
 namespace {
 
@@ -98,6 +100,49 @@ void BM_ConsistencyProofVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConsistencyProofVerify);
+
+// A raw tree of state.range(0) leaves (each entry is its index as 8
+// bytes), built once per size: the tree heads and consistency proofs an
+// RSF feed signs and serves, without the log's certificate handling.
+const ctlog::MerkleTree& raw_tree(std::uint64_t leaves) {
+  static std::map<std::uint64_t, ctlog::MerkleTree> trees;
+  auto [it, inserted] = trees.try_emplace(leaves);
+  if (inserted) {
+    for (std::uint64_t i = 0; i < leaves; ++i) {
+      it->second.append(BytesView(reinterpret_cast<const std::uint8_t*>(&i),
+                                  sizeof(i)));
+    }
+  }
+  return it->second;
+}
+
+// Signed-tree-head root over a historical size: each iteration asks for a
+// different size in the top half of the tree.
+void BM_TreeHead(benchmark::State& state) {
+  const auto& tree = raw_tree(static_cast<std::uint64_t>(state.range(0)));
+  const std::uint64_t n = tree.size();
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    auto root = tree.root_at(n - (i % (n / 2)));
+    benchmark::DoNotOptimize(root);
+    ++i;
+  }
+}
+BENCHMARK(BM_TreeHead)->Arg(1 << 10)->Arg(1 << 16);
+
+// A poller's consistency proof to the head, from a size in the top half:
+// a poller 1 to n/2 updates behind.
+void BM_ConsistencyProofGenerate(benchmark::State& state) {
+  const auto& tree = raw_tree(static_cast<std::uint64_t>(state.range(0)));
+  const std::uint64_t n = tree.size();
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    auto proof = tree.consistency_proof(n - 1 - (i % (n / 2)), n);
+    benchmark::DoNotOptimize(proof);
+    ++i;
+  }
+}
+BENCHMARK(BM_ConsistencyProofGenerate)->Arg(1 << 10)->Arg(1 << 16);
 
 void BM_MonitorFullScan(benchmark::State& state) {
   Fixture& f = fixture();

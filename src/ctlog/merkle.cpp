@@ -1,7 +1,8 @@
 #include "ctlog/merkle.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
-#include <span>
 
 namespace anchor::ctlog {
 
@@ -9,49 +10,7 @@ namespace {
 
 // Largest power of two strictly less than n (n >= 2).
 std::uint64_t split_point(std::uint64_t n) {
-  std::uint64_t k = 1;
-  while (k * 2 < n) k *= 2;
-  return k;
-}
-
-using HashSpan = std::span<const Hash>;
-
-Hash subtree_root(HashSpan leaves) {
-  if (leaves.empty()) return empty_tree_hash();
-  if (leaves.size() == 1) return leaves[0];
-  std::uint64_t k = split_point(leaves.size());
-  return node_hash(subtree_root(leaves.subspan(0, k)),
-                   subtree_root(leaves.subspan(k)));
-}
-
-// RFC 6962 §2.1.1 PATH(m, D[n]).
-void audit_path(std::uint64_t m, HashSpan leaves, std::vector<Hash>& out) {
-  if (leaves.size() <= 1) return;
-  std::uint64_t k = split_point(leaves.size());
-  if (m < k) {
-    audit_path(m, leaves.subspan(0, k), out);
-    out.push_back(subtree_root(leaves.subspan(k)));
-  } else {
-    audit_path(m - k, leaves.subspan(k), out);
-    out.push_back(subtree_root(leaves.subspan(0, k)));
-  }
-}
-
-// RFC 6962 §2.1.2 SUBPROOF(m, D[n], b).
-void subproof(std::uint64_t m, HashSpan leaves, bool complete_subtree,
-              std::vector<Hash>& out) {
-  if (m == leaves.size()) {
-    if (!complete_subtree) out.push_back(subtree_root(leaves));
-    return;
-  }
-  std::uint64_t k = split_point(leaves.size());
-  if (m <= k) {
-    subproof(m, leaves.subspan(0, k), complete_subtree, out);
-    out.push_back(subtree_root(leaves.subspan(k)));
-  } else {
-    subproof(m - k, leaves.subspan(k), false, out);
-    out.push_back(subtree_root(leaves.subspan(0, k)));
-  }
+  return std::bit_floor(n - 1);
 }
 
 }  // namespace
@@ -76,32 +35,87 @@ Hash node_hash(const Hash& left, const Hash& right) {
 }
 
 std::uint64_t MerkleTree::append(BytesView entry) {
-  leaves_.push_back(leaf_hash(entry));
-  return leaves_.size() - 1;
+  const std::uint64_t index = size();
+  levels_[0].push_back(leaf_hash(entry));
+  // Leaf `index` completes one subtree per trailing one bit of its index.
+  for (std::size_t h = 0; ((index >> h) & 1) != 0; ++h) {
+    if (levels_.size() == h + 1) levels_.emplace_back();
+    const std::vector<Hash>& below = levels_[h];
+    levels_[h + 1].push_back(
+        node_hash(below[below.size() - 2], below[below.size() - 1]));
+  }
+  return index;
 }
 
-Hash MerkleTree::root() const { return root_at(leaves_.size()); }
+Hash MerkleTree::range_root(std::uint64_t start, std::uint64_t count) const {
+  if (count == 0) return empty_tree_hash();
+  // The range is one perfect, aligned subtree per set bit of `count`,
+  // largest first; MTH folds them from the right.
+  int h = std::countr_zero(count);
+  std::uint64_t piece_start = start + count - (std::uint64_t{1} << h);
+  Hash acc = levels_[h][piece_start >> h];
+  for (std::uint64_t bits = count & (count - 1); bits != 0;
+       bits &= bits - 1) {
+    h = std::countr_zero(bits);
+    piece_start -= std::uint64_t{1} << h;
+    acc = node_hash(levels_[h][piece_start >> h], acc);
+  }
+  return acc;
+}
 
 Hash MerkleTree::root_at(std::uint64_t tree_size) const {
-  assert(tree_size <= leaves_.size());
-  return subtree_root(HashSpan(leaves_.data(), tree_size));
+  assert(tree_size <= size());
+  return range_root(0, tree_size);
 }
 
+// RFC 6962 §2.1.1 PATH(m, D[n]), unrolled: walk down from the root, take
+// each level's sibling, and emit them leaf-first as the recursion does.
 std::vector<Hash> MerkleTree::inclusion_proof(std::uint64_t index,
                                               std::uint64_t tree_size) const {
-  assert(index < tree_size && tree_size <= leaves_.size());
+  assert(index < tree_size && tree_size <= size());
   std::vector<Hash> out;
-  audit_path(index, HashSpan(leaves_.data(), tree_size), out);
+  std::uint64_t start = 0;
+  std::uint64_t count = tree_size;
+  while (count > 1) {
+    const std::uint64_t k = split_point(count);
+    if (index - start < k) {
+      out.push_back(range_root(start + k, count - k));
+      count = k;
+    } else {
+      out.push_back(range_root(start, k));
+      start += k;
+      count -= k;
+    }
+  }
+  std::reverse(out.begin(), out.end());
   return out;
 }
 
+// RFC 6962 §2.1.2 SUBPROOF(m, D[n], true), unrolled the same way.
 std::vector<Hash> MerkleTree::consistency_proof(std::uint64_t from_size,
                                                 std::uint64_t to_size) const {
-  assert(from_size <= to_size && to_size <= leaves_.size());
+  assert(from_size <= to_size && to_size <= size());
   std::vector<Hash> out;
   if (from_size == 0 || from_size == to_size) return out;
-  subproof(from_size, HashSpan(leaves_.data(), to_size),
-           /*complete_subtree=*/true, out);
+  std::uint64_t m = from_size;
+  std::uint64_t start = 0;
+  std::uint64_t count = to_size;
+  bool complete_subtree = true;
+  while (m != count) {
+    const std::uint64_t k = split_point(count);
+    if (m <= k) {
+      out.push_back(range_root(start + k, count - k));
+      count = k;
+    } else {
+      out.push_back(range_root(start, k));
+      m -= k;
+      start += k;
+      count -= k;
+      complete_subtree = false;
+    }
+  }
+  if (!complete_subtree) out.push_back(range_root(start, count));
+  std::reverse(out.begin(), out.end());
   return out;
 }
 

@@ -28,20 +28,27 @@ Hash empty_tree_hash();
 Hash leaf_hash(BytesView entry);
 Hash node_hash(const Hash& left, const Hash& right);
 
-// Incremental Merkle tree over leaf hashes. Appending is O(log n) amortized
-// via the standard "perfect subtree stack"; proofs are computed from the
-// retained leaf hashes (O(n) time, which is fine at corpus scale and keeps
-// the implementation obviously correct).
+// Incremental Merkle tree. levels_[h] holds the root of every complete,
+// aligned subtree of 2^h leaves (levels_[0] are the leaf hashes), so the
+// tree stores under 2n hashes for n leaves. Costs, in SHA-256 node hashes:
+//   append            amortized 1 (it hashes the subtrees it completes);
+//   root_at(m)        popcount(m) - 1, folding m's perfect subtrees;
+//   inclusion_proof   at most log2(n), for the one right-edge sibling;
+//   consistency_proof at most log2(n), likewise.
+// Every other node a proof names is looked up. Outputs follow the RFC 6962
+// PATH/SUBPROOF recursion, byte for byte, for any historical size.
 class MerkleTree {
  public:
+  MerkleTree() : levels_(1) {}
+
   // Appends an entry; returns its leaf index.
   std::uint64_t append(BytesView entry);
 
-  std::uint64_t size() const { return leaves_.size(); }
+  std::uint64_t size() const { return levels_[0].size(); }
 
   // MTH over the first `tree_size` leaves (tree_size <= size()); the
   // zero-argument form covers the whole tree.
-  Hash root() const;
+  Hash root() const { return root_at(size()); }
   Hash root_at(std::uint64_t tree_size) const;
 
   // RFC 6962 §2.1.1 audit path for `index` within the first `tree_size`
@@ -53,10 +60,14 @@ class MerkleTree {
   std::vector<Hash> consistency_proof(std::uint64_t from_size,
                                       std::uint64_t to_size) const;
 
-  const Hash& leaf(std::uint64_t index) const { return leaves_[index]; }
+  const Hash& leaf(std::uint64_t index) const { return levels_[0][index]; }
 
  private:
-  std::vector<Hash> leaves_;
+  // MTH(D[start:start+count]) for a range the RFC recursion visits: `start`
+  // is a multiple of the smallest power of two >= count.
+  Hash range_root(std::uint64_t start, std::uint64_t count) const;
+
+  std::vector<std::vector<Hash>> levels_;
 };
 
 // Verifiers (RFC 6962 §2.1.1 / §2.1.4.2). Pure functions of public data.

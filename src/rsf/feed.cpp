@@ -85,8 +85,9 @@ SignedTreeHead Feed::make_sth_locked(std::uint64_t tree_size) const {
   return sths_[tree_size - 1];
 }
 
-void Feed::append_locked(Snapshot snap, std::string delta) {
-  tree_.append(BytesView(snap.transcript()));
+void Feed::append_locked(Snapshot snap, BytesView transcript,
+                         std::string delta) {
+  tree_.append(transcript);
   SignedTreeHead sth;
   sth.tree_size = snap.sequence;
   sth.root_hash = tree_.root();
@@ -108,10 +109,11 @@ std::uint64_t Feed::publish(const rootstore::RootStore& store,
   snap.payload = store.serialize();
   snap.payload_hash = Sha256::hash_hex(view_bytes(snap.payload));
   snap.prev_hash = snapshots_.empty() ? "" : snapshots_.back().payload_hash;
-  snap.signature = SimSig::sign(key_, BytesView(snap.transcript()));
+  const Bytes transcript = snap.transcript();
+  snap.signature = SimSig::sign(key_, BytesView(transcript));
   std::string delta =
       published_ ? StoreDelta::diff(*published_, store).serialize() : "";
-  append_locked(std::move(snap), std::move(delta));
+  append_locked(std::move(snap), BytesView(transcript), std::move(delta));
   published_ = store;
   return snapshots_.size();
 }
@@ -191,11 +193,12 @@ Result<FeedFetch> Feed::feed_fetch(const FeedFetchQuery& query) const {
 
 std::vector<Snapshot> Feed::fetch_since(std::uint64_t after) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Snapshot> out;
-  for (const auto& snap : snapshots_) {
-    if (snap.sequence > after) out.push_back(snap);
-  }
-  return out;
+  // snapshots_[i] has sequence i + 1, so the run after `after` starts at
+  // index `after`.
+  if (after >= snapshots_.size()) return {};
+  return std::vector<Snapshot>(
+      snapshots_.begin() + static_cast<std::ptrdiff_t>(after),
+      snapshots_.end());
 }
 
 const Snapshot* Feed::at(std::uint64_t sequence) const {
@@ -221,7 +224,8 @@ Status Feed::restore(std::vector<Snapshot> run) {
                             ? StoreDelta::diff(*published_, *current).serialize()
                             : "";
     published_ = std::move(current);
-    append_locked(std::move(snap), std::move(delta));
+    const Bytes transcript = snap.transcript();
+    append_locked(std::move(snap), BytesView(transcript), std::move(delta));
   }
   return {};
 }

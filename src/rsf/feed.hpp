@@ -140,8 +140,8 @@ class Feed {
   // the poller classifies staleness/rollback itself.
   Result<FeedFetch> feed_fetch(const FeedFetchQuery& query) const;
 
-  // Snapshots with sequence > `after` (for restore round-trips, mirrors
-  // and tests; pollers use feed_fetch).
+  // Snapshots with sequence > `after`, copied from index `after` on (for
+  // restore round-trips, mirrors and tests; pollers use feed_fetch).
   std::vector<Snapshot> fetch_since(std::uint64_t after) const;
 
   // Direct access for single-threaded callers (manual mirrors, tests);
@@ -186,9 +186,10 @@ class Feed {
 
  private:
   SignedTreeHead make_sth_locked(std::uint64_t tree_size) const;
-  // Appends a signed snapshot, its serialized delta ("" when none could be
+  // Appends a signed snapshot (its `transcript()` passed in, as the
+  // caller already built it), its serialized delta ("" when none could be
   // derived) and the tree head covering it.
-  void append_locked(Snapshot snap, std::string delta);
+  void append_locked(Snapshot snap, BytesView transcript, std::string delta);
 
   std::string name_;
   SimKeyPair key_;

@@ -2,12 +2,105 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <span>
+#include <utility>
+
 #include "util/rng.hpp"
 
 namespace anchor::ctlog {
 namespace {
 
 Bytes entry(int i) { return to_bytes("entry-" + std::to_string(i)); }
+
+// Reference: the RFC 6962 §2.1 recursions written out over the leaf hashes,
+// as MerkleTree computed them before it kept its interior nodes. Subtree
+// roots are memoized by (offset, length) so that sweeping every size stays
+// cheap; the memo caches the recursion's own results, not the tree's.
+class ReferenceTree {
+ public:
+  explicit ReferenceTree(const MerkleTree& tree) {
+    for (std::uint64_t i = 0; i < tree.size(); ++i) {
+      leaves_.push_back(tree.leaf(i));
+    }
+  }
+
+  Hash root(std::uint64_t n) { return subtree_root(span(0, n)); }
+
+  // PATH(m, D[n]).
+  std::vector<Hash> path(std::uint64_t m, std::uint64_t n) {
+    std::vector<Hash> out;
+    audit_path(m, span(0, n), out);
+    return out;
+  }
+
+  // PROOF(m, D[n]) = SUBPROOF(m, D[n], true), empty for m = 0 or m = n.
+  std::vector<Hash> proof(std::uint64_t m, std::uint64_t n) {
+    std::vector<Hash> out;
+    if (m == 0 || m == n) return out;
+    subproof(m, span(0, n), true, out);
+    return out;
+  }
+
+ private:
+  using HashSpan = std::span<const Hash>;
+
+  HashSpan span(std::uint64_t offset, std::uint64_t n) const {
+    return HashSpan(leaves_.data() + offset, n);
+  }
+
+  static std::uint64_t split_point(std::uint64_t n) {
+    std::uint64_t k = 1;
+    while (k * 2 < n) k *= 2;
+    return k;
+  }
+
+  Hash subtree_root(HashSpan leaves) {
+    if (leaves.empty()) return empty_tree_hash();
+    if (leaves.size() == 1) return leaves[0];
+    const std::pair<std::uint64_t, std::uint64_t> key(
+        static_cast<std::uint64_t>(leaves.data() - leaves_.data()),
+        leaves.size());
+    auto it = memo_.find(key);
+    if (it != memo_.end()) return it->second;
+    std::uint64_t k = split_point(leaves.size());
+    Hash root = node_hash(subtree_root(leaves.subspan(0, k)),
+                          subtree_root(leaves.subspan(k)));
+    memo_.emplace(key, root);
+    return root;
+  }
+
+  void audit_path(std::uint64_t m, HashSpan leaves, std::vector<Hash>& out) {
+    if (leaves.size() <= 1) return;
+    std::uint64_t k = split_point(leaves.size());
+    if (m < k) {
+      audit_path(m, leaves.subspan(0, k), out);
+      out.push_back(subtree_root(leaves.subspan(k)));
+    } else {
+      audit_path(m - k, leaves.subspan(k), out);
+      out.push_back(subtree_root(leaves.subspan(0, k)));
+    }
+  }
+
+  void subproof(std::uint64_t m, HashSpan leaves, bool complete_subtree,
+                std::vector<Hash>& out) {
+    if (m == leaves.size()) {
+      if (!complete_subtree) out.push_back(subtree_root(leaves));
+      return;
+    }
+    std::uint64_t k = split_point(leaves.size());
+    if (m <= k) {
+      subproof(m, leaves.subspan(0, k), complete_subtree, out);
+      out.push_back(subtree_root(leaves.subspan(k)));
+    } else {
+      subproof(m - k, leaves.subspan(k), false, out);
+      out.push_back(subtree_root(leaves.subspan(0, k)));
+    }
+  }
+
+  std::vector<Hash> leaves_;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, Hash> memo_;
+};
 
 MerkleTree tree_of(int n) {
   MerkleTree tree;
@@ -182,6 +275,81 @@ TEST(Merkle, RandomizedCrossTreeRejection) {
   for (std::uint64_t index : {0ull, 7ull, 31ull, 49ull}) {
     auto path = a.inclusion_proof(index, 50);
     EXPECT_FALSE(verify_inclusion(a.leaf(index), index, 50, path, b.root()));
+  }
+}
+
+// The tree's heads and proofs against the reference recursion, byte for
+// byte, at every size pair up to 300 leaves: every shape of right edge a
+// small feed or log passes through.
+TEST(MerkleOracle, RootsMatchReferenceAtEverySize) {
+  MerkleTree tree = tree_of(300);
+  ReferenceTree reference(tree);
+  for (std::uint64_t m = 0; m <= 300; ++m) {
+    ASSERT_EQ(tree.root_at(m), reference.root(m)) << "m=" << m;
+  }
+  EXPECT_EQ(tree.root(), reference.root(300));
+}
+
+TEST(MerkleOracle, InclusionProofsMatchReferenceAtEveryIndexAndSize) {
+  MerkleTree tree = tree_of(300);
+  ReferenceTree reference(tree);
+  for (std::uint64_t n = 1; n <= 300; ++n) {
+    const Hash root = tree.root_at(n);
+    for (std::uint64_t index = 0; index < n; ++index) {
+      const auto path = tree.inclusion_proof(index, n);
+      ASSERT_EQ(path, reference.path(index, n))
+          << "index=" << index << " n=" << n;
+      ASSERT_TRUE(verify_inclusion(tree.leaf(index), index, n, path, root))
+          << "index=" << index << " n=" << n;
+    }
+  }
+}
+
+TEST(MerkleOracle, ConsistencyProofsMatchReferenceAtEverySizePair) {
+  MerkleTree tree = tree_of(300);
+  ReferenceTree reference(tree);
+  for (std::uint64_t n = 0; n <= 300; ++n) {
+    const Hash to_root = tree.root_at(n);
+    for (std::uint64_t m = 0; m <= n; ++m) {
+      const auto proof = tree.consistency_proof(m, n);
+      ASSERT_EQ(proof, reference.proof(m, n)) << "m=" << m << " n=" << n;
+      ASSERT_TRUE(verify_consistency(m, n, tree.root_at(m), to_root, proof))
+          << "m=" << m << " n=" << n;
+    }
+  }
+}
+
+// Past 2^16 leaves every level up to 16 is populated and the right edge
+// (2^16 + 5 = 0b1...101) mixes a deep perfect subtree with short ones.
+TEST(MerkleOracle, MatchesReferenceOnRandomPairsInALargeTree) {
+  constexpr std::uint64_t kLeaves = (std::uint64_t{1} << 16) + 5;
+  MerkleTree tree;
+  for (std::uint64_t i = 0; i < kLeaves; ++i) {
+    tree.append(BytesView(reinterpret_cast<const std::uint8_t*>(&i),
+                          sizeof(i)));
+  }
+  ReferenceTree reference(tree);
+  Rng rng(65541);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::uint64_t n = 1 + rng.uniform(kLeaves);
+    std::uint64_t m = rng.uniform(n + 1);
+    if (trial == 0) n = kLeaves;  // the head itself, at least once
+    const Hash from_root = tree.root_at(m);
+    const Hash to_root = tree.root_at(n);
+    ASSERT_EQ(to_root, reference.root(n)) << "n=" << n;
+    ASSERT_EQ(from_root, reference.root(m)) << "m=" << m;
+
+    const auto proof = tree.consistency_proof(m, n);
+    ASSERT_EQ(proof, reference.proof(m, n)) << "m=" << m << " n=" << n;
+    ASSERT_TRUE(verify_consistency(m, n, from_root, to_root, proof))
+        << "m=" << m << " n=" << n;
+
+    const std::uint64_t index = rng.uniform(n);
+    const auto path = tree.inclusion_proof(index, n);
+    ASSERT_EQ(path, reference.path(index, n))
+        << "index=" << index << " n=" << n;
+    ASSERT_TRUE(verify_inclusion(tree.leaf(index), index, n, path, to_root))
+        << "index=" << index << " n=" << n;
   }
 }
 

@@ -64,10 +64,19 @@ TEST(Feed, FetchSinceReturnsOnlyNewer) {
   feed.publish(store_with({"A"}), 1, "");
   feed.publish(store_with({"B"}), 2, "");
   feed.publish(store_with({"C"}), 3, "");
-  EXPECT_EQ(feed.fetch_since(0).size(), 3u);
-  EXPECT_EQ(feed.fetch_since(2).size(), 1u);
-  EXPECT_EQ(feed.fetch_since(3).size(), 0u);
-  EXPECT_EQ(feed.fetch_since(2)[0].sequence, 3u);
+  for (std::uint64_t after : {0ull, 1ull, 2ull}) {
+    auto run = feed.fetch_since(after);
+    ASSERT_EQ(run.size(), 3 - after) << "after=" << after;
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      EXPECT_EQ(run[i].sequence, after + 1 + i);
+      EXPECT_EQ(run[i].payload_hash, feed.at(after + 1 + i)->payload_hash);
+    }
+  }
+  // At and beyond the head, and on an empty feed: nothing.
+  for (std::uint64_t after : {3ull, 4ull, ~0ull}) {
+    EXPECT_TRUE(feed.fetch_since(after).empty()) << "after=" << after;
+  }
+  EXPECT_TRUE(Feed("empty", registry).fetch_since(0).empty());
 }
 
 TEST(Feed, VerifyRunAcceptsHonestFeed) {

@@ -1,6 +1,8 @@
 // Differential against the host libcrypto's SHA256(). Built only where
 // CMake finds OpenSSL, and linked into the sha test binary alone: the
 // library itself never depends on it.
+#include <openssl/crypto.h>
+#include <openssl/opensslv.h>
 #include <openssl/sha.h>
 
 #include <gtest/gtest.h>
@@ -22,6 +24,27 @@ Sha256::Digest hash_with(Sha256::Kernel kernel, BytesView data) {
   Sha256 h(kernel);
   h.update(data);
   return h.finish();
+}
+
+// The differentials below are only worth as much as the library they load:
+// it must be the one whose headers the test compiled against.
+TEST(Sha256Libcrypto, LoadedLibraryMatchesHeaders) {
+  EXPECT_EQ(OpenSSL_version_num(),
+            static_cast<unsigned long>(OPENSSL_VERSION_NUMBER))
+      << "compiled against " << OPENSSL_VERSION_TEXT << ", loaded "
+      << OpenSSL_version(OPENSSL_VERSION);
+}
+
+// And the copy CMake found and linked against must be that one too: the
+// compiler's include path, not CMake's search, decides which headers win.
+TEST(Sha256Libcrypto, LinkedLibraryMatchesHeaders) {
+#ifdef OPENSSL_VERSION_STR
+  EXPECT_STREQ(ANCHOR_LINKED_OPENSSL_VERSION, OPENSSL_VERSION_STR)
+      << "CMake linked OpenSSL " << ANCHOR_LINKED_OPENSSL_VERSION
+      << ", the compiler read " << OPENSSL_VERSION_TEXT;
+#else
+  GTEST_SKIP() << "headers older than OpenSSL 3 carry no version string";
+#endif
 }
 
 TEST(Sha256Libcrypto, MatchesOnRandomLengthsUpTo8KiB) {
