@@ -13,9 +13,8 @@
 // Counters come from the same Registry operators would scrape
 // (snapshot_delta over the run), not bench-private accounting; the
 // headline is items/s at each (connections, depth) point plus wire
-// bytes/request. BM_Anchord_Socketpair repeats one sweep point over a
-// real AF_UNIX socketpair to price the kernel boundary against the
-// in-memory conduit.
+// bytes/request. Every connection is an AF_UNIX socketpair, the conduit a
+// deployed anchord hands out.
 #include <benchmark/benchmark.h>
 
 #include <sched.h>
@@ -161,8 +160,7 @@ void report_registry_deltas(benchmark::State& state,
       sample("anchor_anchord_requests_total{verb=\"verify\"}");
 }
 
-void run_throughput(benchmark::State& state, bool socketpair,
-                    std::size_t workers = 8) {
+void run_throughput(benchmark::State& state, std::size_t workers = 8) {
   Fixture& f = fixture();
   const auto connections = static_cast<std::size_t>(state.range(0));
   const auto depth = static_cast<std::size_t>(state.range(1));
@@ -191,8 +189,7 @@ void run_throughput(benchmark::State& state, bool socketpair,
   std::vector<anchord::ConduitPair> pairs;
   pairs.reserve(connections);
   for (std::size_t c = 0; c < connections; ++c) {
-    auto pair = socketpair ? anchord::make_socketpair_conduit()
-                           : anchord::make_memory_conduit();
+    auto pair = anchord::make_socketpair_conduit();
     if (!pair.ok()) {
       state.SkipWithError(pair.error().c_str());
       return;
@@ -251,19 +248,10 @@ void run_throughput(benchmark::State& state, bool socketpair,
 }
 
 void BM_Anchord_Throughput(benchmark::State& state) {
-  run_throughput(state, /*socketpair=*/false);
+  run_throughput(state);
 }
 BENCHMARK(BM_Anchord_Throughput)
     ->ArgsProduct({{1, 2, 4, 8}, {1, 8, 32}})
-    ->ArgNames({"conns", "depth"})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_Anchord_Socketpair(benchmark::State& state) {
-  run_throughput(state, /*socketpair=*/true);
-}
-BENCHMARK(BM_Anchord_Socketpair)
-    ->ArgsProduct({{1, 4}, {8}})
     ->ArgNames({"conns", "depth"})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
@@ -274,7 +262,7 @@ BENCHMARK(BM_Anchord_Socketpair)
 // than parallel speedup; the point is the trend line on real hardware.
 void BM_Anchord_WorkerSweep(benchmark::State& state) {
   const auto workers = static_cast<std::size_t>(state.range(2));
-  run_throughput(state, /*socketpair=*/false, workers);
+  run_throughput(state, workers);
 }
 BENCHMARK(BM_Anchord_WorkerSweep)
     ->ArgsProduct({{4}, {8}, {1, 2, 4, 8}})
@@ -317,7 +305,7 @@ void BM_Anchord_Batch(benchmark::State& state) {
   backends.registry = &registry;
   anchord::AnchordServer server(backends, {}, registry);
 
-  auto made = anchord::make_memory_conduit();
+  auto made = anchord::make_socketpair_conduit();
   if (!made.ok()) {
     state.SkipWithError(made.error().c_str());
     return;

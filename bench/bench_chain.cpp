@@ -9,8 +9,9 @@
 //                  model): one IPC round trip for everything.
 //
 // Both daemon options run on the one serving path: an AnchordServer over a
-// VerifyService, reached through an AnchordClient over an in-memory
-// conduit. A spin before and after each call stands in for the kernel legs.
+// VerifyService, reached through an AnchordClient over an AF_UNIX
+// socketpair, so every call pays a real kernel round trip. A spin before
+// and after each call adds the extra latency of a slower IPC leg (swept).
 //
 // Baseline: plain validation with no GCCs, to isolate the GCC tax.
 //
@@ -163,7 +164,7 @@ void BM_Validate_UserAgentGcc(benchmark::State& state) {
 }
 BENCHMARK(BM_Validate_UserAgentGcc);
 
-// One side of a simulated kernel round trip: a spin, which adds no
+// Extra latency on one side of the round trip: a spin, which adds no
 // descheduling noise to the E9 sweep the way a sleep would.
 void ipc_leg(std::uint64_t ipc_ns) {
   const auto start = std::chrono::steady_clock::now();
@@ -184,7 +185,7 @@ anchord::VerbDispatcher::Backends daemon_backends(
 }
 
 // One connection to a daemon: its serve() thread on the far end of an
-// in-memory conduit, the client on the near end. AnchordClient is not
+// AF_UNIX socketpair, the client on the near end. AnchordClient is not
 // thread-safe, so every benchmark thread opens its own session.
 class DaemonSession {
  public:
@@ -216,7 +217,7 @@ class DaemonSession {
 
  private:
   static anchord::ConduitPair open_conduits() {
-    auto pair = anchord::make_memory_conduit();
+    auto pair = anchord::make_socketpair_conduit();
     if (!pair.ok()) {
       fprintf(stderr, "E9: conduit: %s\n", pair.error().c_str());
       std::abort();
@@ -247,8 +248,8 @@ chain::GccHook daemon_gcc_hook(DaemonSession& session, std::uint64_t ipc_ns) {
 }
 
 // Platform daemon: the verifier delegates GCC execution to a daemon of
-// its own across a simulated IPC boundary. Latency per leg swept: 0
-// (colocated), 50us (UNIX socket), 500us (loaded system).
+// its own across the socketpair. Extra latency per leg swept: 0 (the
+// socketpair alone), 50us, 500us (loaded system).
 void BM_Validate_PlatformDaemon(benchmark::State& state) {
   Fixture& f = fixture();
   const auto ipc_ns = static_cast<std::uint64_t>(state.range(0));

@@ -1,8 +1,7 @@
 // Byte-stream endpoints for anchord sessions. The server's session loop
-// and the client speak to a Conduit, never to a socket API, so the same
-// code serves an in-memory pipe (fast, deterministic, what the tests and
-// bench use by default) and a real AF_UNIX socketpair (what a deployed
-// anchord would hand out; exercised by the socketpair round-trip test).
+// and the client speak to a Conduit, never to a socket API; the one
+// transport behind it is an AF_UNIX socketpair, what a deployed anchord
+// hands out, so every test and bench takes the path a real client does.
 //
 // A Conduit is a reliable, ordered, bidirectional byte stream — framing is
 // entirely the codec's job (net/transport.hpp). Endpoints come in
@@ -40,35 +39,23 @@ class Conduit {
   //
   // A readiness-driven server never blocks in read_some/write; instead it
   // epolls readiness_fd() and drains with read_some(..., timeout_ms=0)
-  // until 0 is returned. The fd is level-triggered in spirit: it reads
-  // ready whenever bytes *may* be available or the stream has closed
-  // (spurious wakeups are allowed; lost wakeups are not). Endpoints that
-  // cannot supply one return -1, and anchord refuses to serve them.
-  virtual int readiness_fd() const { return -1; }
+  // until 0 is returned. The fd reads ready whenever bytes may be
+  // available or the stream has closed, and is also the fd to watch
+  // (EPOLLOUT) after a short write_some. Endpoints that cannot supply one
+  // return -1, and anchord refuses to serve them.
+  virtual int readiness_fd() const = 0;
 
   // Non-blocking write: accepts up to data.size() bytes and returns the
-  // count actually taken (0 = flow-controlled, try again on writability),
-  // or -1 once the stream is closed. The default delegates to the blocking
-  // write(), which is correct for endpoints whose writes cannot block.
-  virtual int write_some(BytesView data) {
-    return write(data) ? static_cast<int>(data.size()) : -1;
-  }
-
-  // Fd to watch (EPOLLOUT) after a short write_some; -1 when writes never
-  // flow-control (in-memory pipes), in which case write_some always takes
-  // everything or fails.
-  virtual int writable_fd() const { return -1; }
+  // count actually taken (0 = flow-controlled, try again once
+  // readiness_fd() is writable), or -1 once the stream is closed.
+  virtual int write_some(BytesView data) = 0;
 };
 
 using ConduitPair = std::pair<std::unique_ptr<Conduit>, std::unique_ptr<Conduit>>;
 
-// A connected pair of in-memory endpoints (mutex + condvar byte queues),
-// each with an eventfd as its readiness fd. err() if eventfd creation
-// fails.
-Result<ConduitPair> make_memory_conduit();
-
 // A connected pair over an AF_UNIX socketpair(2): real file descriptors,
-// poll(2)-based read timeouts. err() if the kernel refuses the pair.
+// close-on-exec, poll(2)-based read timeouts. err() if the kernel refuses
+// the pair.
 Result<ConduitPair> make_socketpair_conduit();
 
 }  // namespace anchor::anchord

@@ -105,18 +105,32 @@ Response VerbDispatcher::do_verify(const Request& request) {
 
 std::optional<Response> VerbDispatcher::dispatch_if_cached(
     const Request& request) {
-  // Anything do_verify would reject goes through dispatch() for its
-  // classified answer; only the verify proper is worth a cache probe.
+  // Anything the verb would reject goes through dispatch() for its
+  // classified answer; only a well-formed request is worth a cache probe.
   chain::VerifyOptions options;
-  if (request.verb != Verb::kVerify || request.leaf_der.empty() ||
-      verify_options(request, options).has_value()) {
-    return std::nullopt;
+  if (request.leaf_der.empty()) return std::nullopt;
+  if (request.verb == Verb::kVerify) {
+    if (verify_options(request, options)) return std::nullopt;
+    std::optional<chain::VerifyResult> result =
+        backends_.service->validate_if_cached(
+            request.leaf_der, request.intermediates_der, options);
+    if (!result) return std::nullopt;
+    return verify_response(request, *result);
   }
-  std::optional<chain::VerifyResult> result =
-      backends_.service->validate_if_cached(request.leaf_der,
-                                            request.intermediates_der, options);
-  if (!result) return std::nullopt;
-  return verify_response(request, *result);
+  if (request.verb == Verb::kEvaluateGccs) {
+    // The chain is the caller's, so its length bounds the reactor's work
+    // only if capped as verify's search depth is.
+    if (!parse_usage(request, options) ||
+        request.intermediates_der.size() >= kMaxRequestDepth) {
+      return std::nullopt;
+    }
+    std::optional<chain::VerifyService::GccsOutcome> outcome =
+        backends_.service->evaluate_gccs_if_cached(
+            request.leaf_der, request.intermediates_der, request.usage);
+    if (!outcome) return std::nullopt;
+    return gccs_response(request, *outcome);
+  }
+  return std::nullopt;
 }
 
 Response VerbDispatcher::verify_response(
@@ -200,11 +214,14 @@ Response VerbDispatcher::do_evaluate_gccs(const Request& request) {
     return fail(request, chain::ErrorKind::kMalformedRequest,
                 "evaluate-gccs: unknown usage '" + request.usage + "'");
   }
-  chain::VerifyService::GccsOutcome outcome =
-      backends_.service->evaluate_gccs(request.leaf_der,
-                                       request.intermediates_der,
-                                       request.usage);
+  return gccs_response(request, backends_.service->evaluate_gccs(
+                                    request.leaf_der,
+                                    request.intermediates_der, request.usage));
+}
 
+Response VerbDispatcher::gccs_response(
+    const Request& request,
+    const chain::VerifyService::GccsOutcome& outcome) const {
   Response response = base_response(request);
   response.ok = outcome.allowed;
   response.kind = outcome.kind;

@@ -40,11 +40,12 @@ class VerbDispatcher {
   // registration).
   Response dispatch(const Request& request);
 
-  // The dispatch() response for a well-formed kVerify request whose
-  // certificates are all in the service's parsed-certificate cache, without
-  // parsing anything (VerifyService::validate_if_cached); nullopt for any
-  // other request, which the caller must dispatch() instead. Same bytes,
-  // same service accounting, as dispatch() would produce.
+  // The dispatch() response for a well-formed kVerify or kEvaluateGccs
+  // request whose certificates are all in the service's parsed-certificate
+  // cache, without parsing anything (VerifyService::validate_if_cached,
+  // evaluate_gccs_if_cached); nullopt for any other request, which the
+  // caller must dispatch() instead. Same bytes, same service accounting,
+  // as dispatch() would produce.
   std::optional<Response> dispatch_if_cached(const Request& request);
 
  private:
@@ -53,6 +54,9 @@ class VerbDispatcher {
                            const chain::VerifyResult& result) const;
   Response do_batch(const Request& request);
   Response do_evaluate_gccs(const Request& request);
+  Response gccs_response(
+      const Request& request,
+      const chain::VerifyService::GccsOutcome& outcome) const;
   Response do_metrics(const Request& request);
   Response do_feed_status(const Request& request);
   Response do_feed_fetch(const Request& request);

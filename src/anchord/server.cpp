@@ -25,7 +25,7 @@ struct AnchordServer::Session : Reactor::Handler,
                                 std::enable_shared_from_this<Session> {
   AnchordServer* server = nullptr;
   Conduit* conduit = nullptr;
-  int write_fd = -1;  // conduit->writable_fd(); -1 = writes never stall
+  int fd = -1;  // conduit->readiness_fd(): read and write readiness alike
 
   // Read state — single-threaded by construction (see struct comment).
   Bytes buffer;
@@ -68,24 +68,11 @@ struct AnchordServer::Session : Reactor::Handler,
         break;
       }
       if (n == 0) {
-        if (write_fd >= 0) {
-          if (!write_armed) {
-            write_armed = true;
-            server->reactor_.arm_write(write_fd, shared_from_this());
-          }
-          return;  // the reactor finishes this flush
+        if (!write_armed) {
+          write_armed = true;
+          server->reactor_.arm_write(fd, shared_from_this());
         }
-        // No writability events available: fall back to one blocking
-        // write for the remainder (the pre-reactor semantics).
-        if (!conduit->write(rest)) {
-          write_failed = true;
-          write_queue.clear();
-          write_offset = 0;
-          break;
-        }
-        write_queue.pop_front();
-        write_offset = 0;
-        continue;
+        return;  // the reactor finishes this flush
       }
       write_offset += static_cast<std::size_t>(n);
       if (write_offset == front.size()) {
@@ -101,9 +88,10 @@ struct AnchordServer::Session : Reactor::Handler,
   // --- Reactor::Handler ----------------------------------------------------
 
   bool on_readable() override {
-    // Loop to exhaustion: the memory conduit clears its readiness signal
-    // on every read_some(…, 0), so stopping early with bytes still
-    // buffered would strand them until the next (possibly never) append.
+    // Read until the socket runs dry. Level-triggered epoll would report
+    // leftover bytes again, but draining here decodes a burst larger than
+    // read_chunk in one wakeup rather than one epoll round per chunk, and
+    // sees a peer's close right behind its last frame.
     for (;;) {
       const int n = conduit->read_some(buffer, server->config_.read_chunk, 0);
       if (n < 0) return read_finished(/*teardown=*/false);  // peer closed
@@ -202,10 +190,9 @@ void AnchordServer::serve(Conduit& conduit) {
   auto session = std::make_shared<Session>();
   session->server = this;
   session->conduit = &conduit;
-  session->write_fd = conduit.writable_fd();
-
-  const int rfd = conduit.readiness_fd();
-  if (!reactor_.ok() || rfd < 0 || !reactor_.add(rfd, session)) {
+  session->fd = conduit.readiness_fd();
+  if (!reactor_.ok() || session->fd < 0 ||
+      !reactor_.add(session->fd, session)) {
     // Sessions are readiness-driven only; a conduit the reactor cannot
     // watch is refused, and the peer sees end-of-stream.
     m_refused_.add();
@@ -214,8 +201,7 @@ void AnchordServer::serve(Conduit& conduit) {
   }
   m_served_.add();
   session->wait_finished();
-  reactor_.forget(rfd, session);
-  if (session->write_fd != rfd) reactor_.forget(session->write_fd, session);
+  reactor_.forget(session->fd, session);
   if (session->torn_down) conduit.close();
 }
 
@@ -325,14 +311,14 @@ void AnchordServer::admit(Session& session, Request request,
     case Verb::kVerifyBatch: m_req_batch_.add(); break;
     case Verb::kFeedFetch: m_req_feedfetch_.add(); break;
   }
-  // The inline rule: a verify whose certificates are all cache-resident is
-  // answered right here on the reactor thread, saving the hand-off to a
-  // worker and back, but only while nothing else wants the daemon: no
-  // request in flight, no second frame in this drain, no other session
-  // ready in this epoll batch. Under any concurrency the request goes to
-  // the pool, so parsing never runs on the reactor and work still fans out.
-  if (request.verb == Verb::kVerify && admitted == 0 && sole_frame &&
-      reactor_.ready_in_batch() == 1) {
+  // The inline rule: a verify or evaluate-gccs whose certificates are all
+  // cache-resident is answered right here on the reactor thread, saving
+  // the hand-off to a worker and back, but only while nothing else wants
+  // the daemon: no request in flight, no second frame in this drain, no
+  // other session ready in this epoll batch. Under any concurrency the
+  // request goes to the pool, so parsing never runs on the reactor and
+  // work still fans out. dispatch_if_cached declines every other verb.
+  if (admitted == 0 && sole_frame && reactor_.ready_in_batch() == 1) {
     std::optional<Response> response;
     {
       metrics::ScopedTimer timer(m_serve_latency_);

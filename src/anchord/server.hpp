@@ -1,6 +1,7 @@
 // The anchord serving layer: readiness-driven sessions speaking the framed
 // wire protocol over a Conduit, executing verbs on a worker pool (or, for
-// an idle daemon's cache-resident verify, on the reactor thread).
+// an idle daemon's cache-resident verify or evaluate-gccs, on the reactor
+// thread).
 //
 // Serving semantics (each has a dedicated test in anchord_test.cpp):
 //
@@ -40,9 +41,9 @@
 // call concurrently from many threads (one per connection, as the tests
 // and bench do); it is a reactor registration plus a wait, not a loop.
 // Handlers run in one of two places. As a rule every session submits to
-// one shared worker pool. The exception is the inline rule: a verify whose
-// certificates are all in the parsed-certificate cache is answered on the
-// reactor thread itself, but only while the daemon is otherwise idle (no
+// one shared worker pool. The exception is the inline rule: a verify or
+// evaluate-gccs whose certificates are all in the parsed-certificate cache
+// is answered on the reactor thread itself, but only while the daemon is otherwise idle (no
 // request in flight, no second complete frame in the same drain, no other
 // session ready in the same epoll batch). Such a request crosses one
 // thread instead of two; any sign of concurrency sends it to the pool, so

@@ -82,41 +82,26 @@ struct VerifyService::Snapshot {
       // evaluation cost climbs, and nothing explained where the work went.
       service.verdict_bypass_.fetch_add(1, std::memory_order_relaxed);
       service.m_verdict_bypass_.add();
-      core::GccVerdict v = executor.evaluate(chain, usage, gccs, context);
-      verdict.gccs_evaluated += v.gccs_evaluated;
-      verdict.facts_encoded += v.facts_encoded;
-      verdict.stats.accumulate(v.stats);
-      if (!v.allowed) verdict.failed_gcc = v.failed_gcc;
-      return v.allowed;
+      return verdict.accumulate(executor.evaluate(chain, usage, gccs, context));
     }
     VerdictKey key{epoch, std::string(usage), {}};
     key.path.reserve(chain.size());
     for (const x509::CertPtr& cert : chain) {
       key.path.push_back(cert->fingerprint());
     }
-    CachedVerdict cached;
+    core::GccVerdict cached;
     if (service.verdict_cache_.get(key, cached)) {
       service.verdict_hits_.fetch_add(1, std::memory_order_relaxed);
       service.m_verdict_hit_.add();
-      verdict.gccs_evaluated += cached.gccs_evaluated;
-      verdict.facts_encoded += cached.facts_encoded;
       // Replay the evaluator accounting captured at miss time: a caller
       // must not be able to tell a hit from a miss by looking at stats.
-      verdict.stats.accumulate(cached.stats);
-      if (!cached.allowed) verdict.failed_gcc = cached.failed_gcc;
-      return cached.allowed;
+      return verdict.accumulate(cached);
     }
     service.verdict_misses_.fetch_add(1, std::memory_order_relaxed);
     service.m_verdict_miss_.add();
     core::GccVerdict v = executor.evaluate(chain, usage, gccs);
-    verdict.gccs_evaluated += v.gccs_evaluated;
-    verdict.facts_encoded += v.facts_encoded;
-    verdict.stats.accumulate(v.stats);
-    if (!v.allowed) verdict.failed_gcc = v.failed_gcc;
-    service.verdict_cache_.put(
-        key, CachedVerdict{v.allowed, v.failed_gcc, v.gccs_evaluated,
-                           v.facts_encoded, v.stats});
-    return v.allowed;
+    service.verdict_cache_.put(key, v);
+    return verdict.accumulate(v);
   }
 };
 
@@ -308,88 +293,110 @@ Result<x509::CertPtr> VerifyService::parse_cached(BytesView der) {
   return parsed;
 }
 
+std::optional<Result<core::Chain>> VerifyService::resolve(
+    const Bytes& leaf_der, std::span<const Bytes> intermediates_der,
+    Resolve mode) {
+  core::Chain chain;
+  chain.reserve(1 + intermediates_der.size());
+  for (std::size_t i = 0; i <= intermediates_der.size(); ++i) {
+    const BytesView der(i == 0 ? leaf_der : intermediates_der[i - 1]);
+    if (mode == Resolve::kResidentOnly) {
+      x509::CertPtr cert = cert_cache_.peek(der);
+      if (cert == nullptr) return std::nullopt;
+      chain.push_back(std::move(cert));
+      continue;
+    }
+    auto cert = parse_cached(der);
+    if (!cert) return Result<core::Chain>(err(cert.error()));
+    chain.push_back(std::move(cert).take());
+  }
+  if (mode == Resolve::kResidentOnly) {
+    // Counted only now: a declined request must count nothing.
+    cert_cache_.count_hits(chain.size());
+    m_cert_hit_.add(chain.size());
+  }
+  return Result<core::Chain>(std::move(chain));
+}
+
+std::optional<VerifyService::GccsOutcome> VerifyService::evaluate_gccs_as(
+    const Bytes& leaf_der, std::span<const Bytes> intermediates_der,
+    std::string_view usage, Resolve mode) {
+  const std::uint64_t start = now_ns();
+  std::shared_ptr<const Snapshot> snapshot = current_snapshot();
+  std::optional<Result<core::Chain>> chain =
+      resolve(leaf_der, intermediates_der, mode);
+  if (!chain) return std::nullopt;
+  GccsOutcome outcome;
+  if (!*chain) {  // malformed input across IPC: reject
+    outcome.kind = ErrorKind::kMalformedRequest;
+    outcome.detail = chain->error();
+  } else {
+    outcome.allowed = true;
+    const auto gccs =
+        snapshot->reader->gccs_for_root(chain->value().back()->fingerprint());
+    if (!gccs.empty()) {
+      outcome.allowed = snapshot->evaluate_gccs(*this, chain->value(), usage,
+                                                gccs, nullptr, outcome.verdict);
+      if (!outcome.allowed) {
+        outcome.kind = ErrorKind::kGccDenied;
+        outcome.detail = "gcc:" + outcome.verdict.failed_gcc;
+      }
+    }
+  }
+  const std::uint64_t elapsed = now_ns() - start;
+  calls_.fetch_add(1, std::memory_order_relaxed);
+  total_ns_.fetch_add(elapsed, std::memory_order_relaxed);
+  m_calls_.add();
+  m_latency_.observe(static_cast<double>(elapsed) * 1e-9);
+  return outcome;
+}
+
 VerifyService::GccsOutcome VerifyService::evaluate_gccs(
     const Bytes& leaf_der, std::span<const Bytes> intermediates_der,
     std::string_view usage) {
-  const std::uint64_t start = now_ns();
+  return *evaluate_gccs_as(leaf_der, intermediates_der, usage,
+                           Resolve::kParseMisses);
+}
+
+std::optional<VerifyService::GccsOutcome>
+VerifyService::evaluate_gccs_if_cached(const Bytes& leaf_der,
+                                       std::span<const Bytes> intermediates_der,
+                                       std::string_view usage) {
+  return evaluate_gccs_as(leaf_der, intermediates_der, usage,
+                          Resolve::kResidentOnly);
+}
+
+std::optional<VerifyResult> VerifyService::validate_as(
+    const Bytes& leaf_der, std::span<const Bytes> intermediates_der,
+    const VerifyOptions& options, Resolve mode) {
   std::shared_ptr<const Snapshot> snapshot = current_snapshot();
-  GccsOutcome outcome;
-  const auto finish = [&](GccsOutcome out) {
-    const std::uint64_t elapsed = now_ns() - start;
-    calls_.fetch_add(1, std::memory_order_relaxed);
-    total_ns_.fetch_add(elapsed, std::memory_order_relaxed);
-    m_calls_.add();
-    m_latency_.observe(static_cast<double>(elapsed) * 1e-9);
-    return out;
-  };
-  core::Chain chain;
-  chain.reserve(1 + intermediates_der.size());
-  const auto push = [&](const Bytes& der) {
-    auto cert = parse_cached(BytesView(der));
-    if (!cert) {  // malformed input across IPC: reject
-      outcome.kind = ErrorKind::kMalformedRequest;
-      outcome.detail = cert.error();
-      return false;
-    }
-    chain.push_back(std::move(cert).take());
-    return true;
-  };
-  if (!push(leaf_der)) return finish(std::move(outcome));
-  for (const Bytes& der : intermediates_der) {
-    if (!push(der)) return finish(std::move(outcome));
+  std::optional<Result<core::Chain>> chain =
+      resolve(leaf_der, intermediates_der, mode);
+  if (!chain) return std::nullopt;
+  if (!*chain) {
+    VerifyResult failure;
+    failure.kind = ErrorKind::kMalformedRequest;
+    failure.error = "daemon: " + chain->error();
+    return failure;
   }
-  outcome.allowed = true;
-  const auto gccs =
-      snapshot->reader->gccs_for_root(chain.back()->fingerprint());
-  if (!gccs.empty()) {
-    outcome.allowed = snapshot->evaluate_gccs(*this, chain, usage, gccs,
-                                              nullptr, outcome.verdict);
-    if (!outcome.allowed) {
-      outcome.kind = ErrorKind::kGccDenied;
-      outcome.detail = "gcc:" + outcome.verdict.failed_gcc;
-    }
-  }
-  return finish(std::move(outcome));
+  core::Chain& certs = chain->value();
+  CertificatePool pool;
+  for (std::size_t i = 1; i < certs.size(); ++i) pool.add(std::move(certs[i]));
+  return verify_on(*snapshot, certs.front(), pool, options);
 }
 
 VerifyResult VerifyService::validate(const Bytes& leaf_der,
                                      std::span<const Bytes> intermediates_der,
                                      const VerifyOptions& options) {
-  std::shared_ptr<const Snapshot> snapshot = current_snapshot();
-  VerifyResult failure;
-  failure.kind = ErrorKind::kMalformedRequest;
-  auto leaf = parse_cached(BytesView(leaf_der));
-  if (!leaf) {
-    failure.error = "daemon: " + leaf.error();
-    return failure;
-  }
-  CertificatePool pool;
-  for (const Bytes& der : intermediates_der) {
-    auto cert = parse_cached(BytesView(der));
-    if (!cert) {
-      failure.error = "daemon: " + cert.error();
-      return failure;
-    }
-    pool.add(std::move(cert).take());
-  }
-  return verify_on(*snapshot, leaf.value(), pool, options);
+  return *validate_as(leaf_der, intermediates_der, options,
+                      Resolve::kParseMisses);
 }
 
 std::optional<VerifyResult> VerifyService::validate_if_cached(
     const Bytes& leaf_der, std::span<const Bytes> intermediates_der,
     const VerifyOptions& options) {
-  x509::CertPtr leaf = cert_cache_.peek(BytesView(leaf_der));
-  if (leaf == nullptr) return std::nullopt;
-  CertificatePool pool;
-  for (const Bytes& der : intermediates_der) {
-    x509::CertPtr cert = cert_cache_.peek(BytesView(der));
-    if (cert == nullptr) return std::nullopt;
-    pool.add(std::move(cert));
-  }
-  const std::uint64_t hits = 1 + intermediates_der.size();
-  cert_cache_.count_hits(hits);
-  m_cert_hit_.add(hits);
-  return verify_on(*current_snapshot(), leaf, pool, options);
+  return validate_as(leaf_der, intermediates_der, options,
+                     Resolve::kResidentOnly);
 }
 
 std::vector<VerifyResult> VerifyService::validate_batch(

@@ -113,7 +113,13 @@ class VerifyService {
                                    VerifyOptions options);
 
   // DER-boundary entry points mirroring the anchord IPC surface (§3.1
-  // options 2 and 3); both run through the parsed-certificate cache.
+  // options 2 and 3); all run through the parsed-certificate cache, each
+  // in two forms: one that parses misses (a worker's job) and an
+  // `_if_cached` one that never parses (anchord's reactor). The latter
+  // returns nullopt and counts nothing if any DER misses the cache, so the
+  // parsing form the caller falls back to counts that miss exactly once;
+  // otherwise it counts the hits and answers exactly as the parsing form
+  // would.
   //
   // evaluate_gccs runs the GCCs attached to the root of a caller-built
   // chain (leaf, then intermediates up to the root). The outcome tells
@@ -128,16 +134,13 @@ class VerifyService {
   GccsOutcome evaluate_gccs(const Bytes& leaf_der,
                             std::span<const Bytes> intermediates_der,
                             std::string_view usage);
+  std::optional<GccsOutcome> evaluate_gccs_if_cached(
+      const Bytes& leaf_der, std::span<const Bytes> intermediates_der,
+      std::string_view usage);
 
   VerifyResult validate(const Bytes& leaf_der,
                         std::span<const Bytes> intermediates_der,
                         const VerifyOptions& options);
-
-  // validate() for a request whose certificates are all cache-resident:
-  // never parses. If any DER misses the parsed-certificate cache it
-  // returns nullopt and counts nothing, so the validate() the caller falls
-  // back to counts that miss exactly once. Otherwise it counts the hits
-  // and verifies exactly as validate() does, with the same result.
   std::optional<VerifyResult> validate_if_cached(
       const Bytes& leaf_der, std::span<const Bytes> intermediates_der,
       const VerifyOptions& options);
@@ -201,17 +204,6 @@ class VerifyService {
   struct VerdictKeyHash {
     std::size_t operator()(const VerdictKey& key) const;
   };
-  // What the gcc hook needs to replay a verdict without re-evaluating.
-  // `stats` rides along so a cache hit accumulates the same evaluator
-  // accounting the original miss did — hit and miss paths must be
-  // observationally identical to the caller.
-  struct CachedVerdict {
-    bool allowed = true;
-    std::string failed_gcc;
-    std::size_t gccs_evaluated = 0;
-    std::size_t facts_encoded = 0;
-    datalog::EvalStats stats;
-  };
 
   std::shared_ptr<const Snapshot> current_snapshot() const;
   // Builds the next snapshot to publish: a copy of the live store, or
@@ -226,6 +218,23 @@ class VerifyService {
   void publish(std::shared_ptr<const Snapshot> fresh,
                std::unique_lock<std::mutex> lock);
   Result<x509::CertPtr> parse_cached(BytesView der);
+  // What resolve() does with a DER the parsed-certificate cache lacks.
+  enum class Resolve {
+    kParseMisses,   // parse it, counting the miss
+    kResidentOnly,  // decline the whole request, counting nothing
+  };
+  // The DER-to-certificate step every DER-boundary entry point shares: the
+  // leaf, then each intermediate, in order. nullopt = declined
+  // (kResidentOnly only); err = a DER that does not parse.
+  std::optional<Result<core::Chain>> resolve(
+      const Bytes& leaf_der, std::span<const Bytes> intermediates_der,
+      Resolve mode);
+  std::optional<GccsOutcome> evaluate_gccs_as(
+      const Bytes& leaf_der, std::span<const Bytes> intermediates_der,
+      std::string_view usage, Resolve mode);
+  std::optional<VerifyResult> validate_as(
+      const Bytes& leaf_der, std::span<const Bytes> intermediates_der,
+      const VerifyOptions& options, Resolve mode);
   VerifyResult verify_on(const Snapshot& snapshot, const x509::CertPtr& leaf,
                          const CertificatePool& pool,
                          const VerifyOptions& options);
@@ -248,7 +257,10 @@ class VerifyService {
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<const Snapshot> snapshot_;
 
-  ShardedLruCache<VerdictKey, CachedVerdict, VerdictKeyHash> verdict_cache_;
+  // The whole miss-time verdict, evaluator stats included, so a hit
+  // accumulates the same accounting the miss did: hit and miss paths must
+  // be observationally identical to the caller.
+  ShardedLruCache<VerdictKey, core::GccVerdict, VerdictKeyHash> verdict_cache_;
   CertCache<> cert_cache_;
   // Declared before pool_, so it outlives the workers that read it.
   LinkCache link_cache_;

@@ -19,12 +19,7 @@ ChainVerifier::ChainVerifier(const rootstore::StoreReader& store,
                      std::span<const core::Gcc> gccs,
                      const core::FactSet* context,
                      core::GccVerdict& verdict) {
-    core::GccVerdict v = executor_.evaluate(chain, usage, gccs, context);
-    verdict.gccs_evaluated += v.gccs_evaluated;
-    verdict.facts_encoded += v.facts_encoded;
-    verdict.stats.accumulate(v.stats);
-    if (!v.allowed) verdict.failed_gcc = v.failed_gcc;
-    return v.allowed;
+    return verdict.accumulate(executor_.evaluate(chain, usage, gccs, context));
   };
   // The store-distributed compressed revocation filter (delivered through
   // RSF snapshots/deltas) is a revocation source like any other.

@@ -29,6 +29,18 @@ struct GccVerdict {
   datalog::EvalStats stats;  // aggregated over all evaluated GCCs
   std::size_t gccs_evaluated = 0;
   std::size_t facts_encoded = 0;
+
+  // Folds one evaluation into this running total: its counters and stats,
+  // and on denial the failing constraint's name. `allowed` is left alone
+  // (a later candidate path may still pass); the caller gets the folded
+  // evaluation's own answer back.
+  bool accumulate(const GccVerdict& other) {
+    gccs_evaluated += other.gccs_evaluated;
+    facts_encoded += other.facts_encoded;
+    stats.accumulate(other.stats);
+    if (!other.allowed) failed_gcc = other.failed_gcc;
+    return other.allowed;
+  }
 };
 
 class GccExecutor {

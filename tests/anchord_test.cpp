@@ -5,6 +5,7 @@
 // to one computed on the direct VerifyService path.
 #include "anchord/server.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -91,15 +92,15 @@ struct WirePki {
   }
 };
 
-// An in-memory conduit pair; a failure to make one fails the test.
-ConduitPair memory_pair() {
-  auto pair = make_memory_conduit();
+// A socketpair conduit; a failure to make one fails the test.
+ConduitPair socket_pair() {
+  auto pair = make_socketpair_conduit();
   if (!pair.ok()) throw std::runtime_error(pair.error());
   return std::move(pair).take();
 }
 
-// One server over one in-memory connection, with the serve loop on its own
-// thread; close() on the client end shuts everything down.
+// One server over one socketpair connection, with the serve loop on its
+// own thread; close() on the client end shuts everything down.
 struct Harness {
   WirePki pki;
   metrics::Registry registry;
@@ -107,7 +108,7 @@ struct Harness {
   VerbDispatcher::Backends backends;
   AnchordConfig config;
   std::unique_ptr<AnchordServer> server;
-  ConduitPair conduits = memory_pair();
+  ConduitPair conduits = socket_pair();
   std::thread serve_thread;
 
   explicit Harness(AnchordConfig cfg = {})
@@ -305,7 +306,7 @@ TEST(AnchordServer, FeedStatusWithAttachedClient) {
   VerbDispatcher::Backends backends = h.backends;
   backends.feed = &rsf_client;
   AnchordServer server(backends, {}, h.registry);
-  ConduitPair pair = memory_pair();
+  ConduitPair pair = socket_pair();
   std::thread serve([&] { server.serve(*pair.second); });
   {
     AnchordClient client(*pair.first);
@@ -760,7 +761,7 @@ TEST(AnchordWire, FeedFetchRequestAndResponseRoundTripThroughCodec) {
 // to the feed-fetch verb.
 struct FeedServerScope {
   VerbDispatcher::Backends backends;
-  ConduitPair pair = memory_pair();
+  ConduitPair pair = socket_pair();
   AnchordServer server;
   std::thread serve;
 
@@ -1250,6 +1251,91 @@ TEST(AnchordServer, RepeatVerifyOnIdleDaemonIsAnsweredInline) {
   EXPECT_EQ(gauge.value(), 0);
 }
 
+// evaluate-gccs follows the same inline rule as verify: on an idle daemon
+// the cold call is pooled and the repeat is answered on the reactor, for
+// an allowed and for a denied chain alike. The bytes and the service's
+// accounting match direct dispatch either way.
+TEST(AnchordServer, RepeatEvaluateGccsOnIdleDaemonIsAnsweredInline) {
+  Harness h;
+  h.service.mutate([&](rootstore::RootStore& store) {
+    store.attach_gcc(core::Gcc::for_certificate(
+                         "no-ev", *h.pki.root,
+                         "valid(Chain, _) :- leaf(Chain, L), \\+ev(L).")
+                         .take());
+  });
+  AnchordClient client(h.client_end());
+
+  // Reference: a fresh service over the same (now GCC-carrying) store.
+  metrics::Registry ref_registry;
+  VerifyService ref_service(h.pki.store, h.pki.sigs, {}, ref_registry);
+  VerbDispatcher::Backends ref_backends = h.backends;
+  ref_backends.service = &ref_service;
+  ref_backends.registry = &ref_registry;
+  VerbDispatcher direct(ref_backends);
+
+  for (const bool ev : {false, true}) {
+    Request request;
+    request.verb = Verb::kEvaluateGccs;
+    request.usage = "TLS";
+    request.leaf_der = h.pki.leaf("gccs.example.com", ev)->der();
+    request.intermediates_der = {h.pki.intermediate->der(),
+                                 h.pki.root->der()};
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(eventually([&] { return h.server->in_flight() == 0; }));
+      auto wire = client.call(request);
+      ASSERT_TRUE(wire.ok()) << wire.error();
+      EXPECT_EQ(wire.value().ok, !ev);
+      EXPECT_EQ(wire.value().kind,
+                ev ? ErrorKind::kGccDenied : ErrorKind::kOk);
+      Request mirror = request;
+      mirror.correlation_id = wire.value().correlation_id;
+      EXPECT_EQ(encode_response(wire.value()).payload,
+                encode_response(direct.dispatch(mirror)).payload)
+          << "wire and direct responses diverge (ev=" << ev << ", call " << i
+          << ")";
+    }
+  }
+  EXPECT_EQ(inline_total(h), 2u);
+  EXPECT_EQ(h.registry
+                .counter("anchor_anchord_requests_total",
+                         {{"verb", "evaluate-gccs"}})
+                .value(),
+            4u);
+
+  const chain::ServiceStats wire_stats = h.service.stats();
+  const chain::ServiceStats ref_stats = ref_service.stats();
+  EXPECT_EQ(wire_stats.cert_hits, ref_stats.cert_hits);
+  EXPECT_EQ(wire_stats.cert_misses, ref_stats.cert_misses);
+  EXPECT_EQ(wire_stats.verdict_hits, ref_stats.verdict_hits);
+  EXPECT_EQ(wire_stats.verdict_misses, ref_stats.verdict_misses);
+  EXPECT_EQ(wire_stats.calls, ref_stats.calls);
+}
+
+// The chain an evaluate-gccs caller sends is the reactor's work, so the
+// inline rule takes it only up to the protocol depth verify is capped at;
+// a longer one is pooled however warm.
+TEST(AnchordServer, EvaluateGccsLongerThanProtocolLimitIsPooled) {
+  Harness h;
+  AnchordClient client(h.client_end());
+  const Bytes leaf_der = h.pki.leaf("long.example.com")->der();
+  std::uint64_t expected_inline = 0;
+  for (const std::size_t chain_len : {kMaxRequestDepth, kMaxRequestDepth + 1}) {
+    Request request;
+    request.verb = Verb::kEvaluateGccs;
+    request.usage = "TLS";
+    request.leaf_der = leaf_der;
+    request.intermediates_der.assign(chain_len - 1, h.pki.intermediate->der());
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(eventually([&] { return h.server->in_flight() == 0; }));
+      auto response = client.call(request);
+      ASSERT_TRUE(response.ok()) << response.error();
+      EXPECT_TRUE(response.value().ok);
+    }
+    if (chain_len <= kMaxRequestDepth) ++expected_inline;
+    EXPECT_EQ(inline_total(h), expected_inline) << "chain of " << chain_len;
+  }
+}
+
 // A request whose certificates are not cached goes to the pool (parsing
 // never runs on the reactor) and meets the handler gate there; its misses
 // are counted once, by the pooled validate.
@@ -1410,10 +1496,8 @@ TEST(AnchordServer, CrossSignLadderFailsClosedOnTheReactor) {
 // --- transports and concurrency -------------------------------------------
 
 TEST(AnchordServer, RoundTripOverSocketpair) {
-  Harness h;  // serve thread on the memory pair is idle; we add a real one
-  auto pair = make_socketpair_conduit();
-  ASSERT_TRUE(pair.ok()) << pair.error();
-  ConduitPair fds = std::move(pair).take();
+  Harness h;  // the harness's own connection stays idle beside this one
+  ConduitPair fds = socket_pair();
   std::thread serve([&] { h.server->serve(*fds.second); });
   {
     AnchordClient client(*fds.first);
@@ -1428,6 +1512,19 @@ TEST(AnchordServer, RoundTripOverSocketpair) {
   serve.join();
 }
 
+// The conduit's descriptors must not leak into a program the daemon's
+// process execs.
+TEST(AnchordConduit, SocketpairEndpointsAreCloseOnExec) {
+  ConduitPair pair = socket_pair();
+  for (const Conduit* end : {pair.first.get(), pair.second.get()}) {
+    const int fd = end->readiness_fd();
+    ASSERT_GE(fd, 0);
+    const int flags = ::fcntl(fd, F_GETFD);
+    ASSERT_GE(flags, 0);
+    EXPECT_NE(flags & FD_CLOEXEC, 0) << "fd " << fd;
+  }
+}
+
 // Forwards to another endpoint but hides its readiness fd, so the reactor
 // has nothing to watch.
 class NoReadinessConduit : public Conduit {
@@ -1440,6 +1537,7 @@ class NoReadinessConduit : public Conduit {
   }
   void close() override { inner_.close(); }
   int readiness_fd() const override { return -1; }
+  int write_some(BytesView data) override { return inner_.write_some(data); }
 
  private:
   Conduit& inner_;
@@ -1454,7 +1552,7 @@ TEST(AnchordServer, ConduitWithoutReadinessFdIsClosedUnserved) {
   // A server of its own, so the harness's served session is not counted.
   metrics::Registry registry;
   AnchordServer server(h.backends, {}, registry);
-  ConduitPair pair = memory_pair();
+  ConduitPair pair = socket_pair();
   NoReadinessConduit hidden(*pair.second);
   std::thread serve([&] { server.serve(hidden); });
   {
@@ -1486,9 +1584,7 @@ TEST(AnchordServer, ConduitWithoutReadinessFdIsClosedUnserved) {
 // frame across them.
 TEST(AnchordServer, TornFramesAcrossWakeupsOverSocketpair) {
   Harness h;
-  auto pair = make_socketpair_conduit();
-  ASSERT_TRUE(pair.ok()) << pair.error();
-  ConduitPair fds = std::move(pair).take();
+  ConduitPair fds = socket_pair();
   std::thread serve([&] { h.server->serve(*fds.second); });
   {
     AnchordClient client(*fds.first);
@@ -1517,9 +1613,7 @@ TEST(AnchordServer, SlowReaderBackpressureFlushesOnWritability) {
   config.workers = 2;
   config.max_in_flight = 512;
   Harness h(config);
-  auto pair = make_socketpair_conduit();
-  ASSERT_TRUE(pair.ok()) << pair.error();
-  ConduitPair fds = std::move(pair).take();
+  ConduitPair fds = socket_pair();
   std::thread serve([&] { h.server->serve(*fds.second); });
   {
     AnchordClient client(*fds.first, /*timeout_ms=*/30000);
@@ -1568,7 +1662,7 @@ TEST(AnchordServer, ConcurrentConnectionsWithPipelining) {
   std::vector<ConduitPair> pairs;
   pairs.reserve(kConnections);
   for (int c = 0; c < kConnections; ++c) {
-    pairs.push_back(memory_pair());
+    pairs.push_back(socket_pair());
     serve_threads.emplace_back(
         [&, c] { h.server->serve(*pairs[static_cast<std::size_t>(c)].second); });
   }
@@ -1634,7 +1728,7 @@ TEST(AnchordServer, ConcurrentEvaluateGccsSessionsShareOneService) {
   std::vector<ConduitPair> pairs;
   pairs.reserve(kConnections);
   for (int c = 0; c < kConnections; ++c) {
-    pairs.push_back(memory_pair());
+    pairs.push_back(socket_pair());
     serve_threads.emplace_back(
         [&, c] { h.server->serve(*pairs[static_cast<std::size_t>(c)].second); });
   }

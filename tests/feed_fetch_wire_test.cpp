@@ -48,15 +48,15 @@ rootstore::RootStore store_with(int count) {
   return store;
 }
 
-// An in-memory conduit pair; a failure to make one fails the test.
-ConduitPair memory_pair() {
-  auto pair = make_memory_conduit();
+// A socketpair conduit; a failure to make one fails the test.
+ConduitPair socket_pair() {
+  auto pair = make_socketpair_conduit();
   if (!pair.ok()) throw std::runtime_error(pair.error());
   return std::move(pair).take();
 }
 
-// An anchord server whose feed-fetch verb serves `feed`, over an in-memory
-// conduit with the serve loop on its own thread.
+// An anchord server whose feed-fetch verb serves `feed`, over a socketpair
+// with the serve loop on its own thread.
 struct FeedHarness {
   SimSig feed_sigs;
   rsf::Feed feed{"nss", feed_sigs};
@@ -66,7 +66,7 @@ struct FeedHarness {
   chain::VerifyService service{empty_store, sigs, {}, registry};
   VerbDispatcher::Backends backends;
   std::unique_ptr<AnchordServer> server;
-  ConduitPair conduits = memory_pair();
+  ConduitPair conduits = socket_pair();
   std::thread serve_thread;
 
   explicit FeedHarness(bool attach_feed = true) {

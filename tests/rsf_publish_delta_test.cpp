@@ -142,8 +142,8 @@ class MutationStream {
       filters_;
 };
 
-// An anchord daemon whose feed-fetch verb serves `feed`, over an in-memory
-// conduit with the serve loop on its own thread.
+// An anchord daemon whose feed-fetch verb serves `feed`, over a socketpair
+// with the serve loop on its own thread.
 struct WireHarness {
   rootstore::RootStore empty_store;
   SimSig sigs;
@@ -154,7 +154,7 @@ struct WireHarness {
   std::thread serve_thread;
 
   explicit WireHarness(const Feed& feed) {
-    auto pair = anchord::make_memory_conduit();
+    auto pair = anchord::make_socketpair_conduit();
     if (!pair.ok()) throw std::runtime_error(pair.error());
     conduits = std::move(pair).take();
     anchord::VerbDispatcher::Backends backends;

@@ -25,7 +25,7 @@
 //                                 head, integrity, staleness and the
 //                                 healthy/degraded/stale classification a
 //                                 polling client would report
-//   anchorctl feed-fetch <dir> [--from N] [--transport memory|unix]
+//   anchorctl feed-fetch <dir> [--from N]
 //                                 authenticated poll over the anchord wire:
 //                                 re-serve the feed directory through an
 //                                 in-process daemon, fetch {signed tree
@@ -45,7 +45,6 @@
 //                                 then print the text exposition
 //   anchorctl daemon <store.txt> <verb> [chain.pem] [--host <h>]
 //                                 [--time <iso8601>] [--usage TLS|S/MIME]
-//                                 [--transport memory|unix]
 //                                 speak the framed wire protocol to an
 //                                 in-process anchord server; <verb> is one
 //                                 of verify, evaluate-gccs, metrics,
@@ -151,12 +150,12 @@ int usage() {
                "  feed-verify <dir>\n"
                "  feed-apply <dir> <out-store.txt>\n"
                "  feed-status <dir> --now <iso8601> [--stale-after <sec>]\n"
-               "  feed-fetch <dir> [--from N] [--transport memory|unix]\n"
+               "  feed-fetch <dir> [--from N]\n"
                "  metrics <store.txt> <chain.pem> --host <h> --time <t>"
                " [--usage TLS|S/MIME] [--repeat N] [--threads N]"
                " [--feed <dir> --now <iso8601>]\n"
                "  daemon <store.txt> <verb> [chain.pem] [--host <h>]"
-               " [--time <t>] [--usage TLS|S/MIME] [--transport memory|unix]"
+               " [--time <t>] [--usage TLS|S/MIME]"
                " [--crlset <f>] [--onecrl <f>] [--crlite <f>]\n"
                "      verb: verify | evaluate-gccs | metrics | feed-status\n"
                "  daemon --snapshot <store.snap> <verb> [...]\n"
@@ -911,7 +910,7 @@ int cmd_feed_status(int argc, char** argv) {
 
 // Speaks the authenticated feed-fetch verb to an in-process anchord that
 // re-serves the feed directory: load + restore the run into an rsf::Feed,
-// stand up a daemon on a memory or socketpair conduit, issue one wire
+// stand up a daemon on a socketpair conduit, issue one wire
 // feed-fetch from the poller's pinned size, then verify everything the
 // frame carried — tree-head signature, consistency proof against the
 // locally rebuilt tree, inclusion proof for the served head — exactly as
@@ -956,10 +955,7 @@ int cmd_feed_fetch(int argc, char** argv) {
   backends.registry = &registry;
   anchord::AnchordServer server(backends, {}, registry);
 
-  const std::string transport =
-      flag_value(argc, argv, "--transport", "memory");
-  auto pair = transport == "unix" ? anchord::make_socketpair_conduit()
-                                  : anchord::make_memory_conduit();
+  auto pair = anchord::make_socketpair_conduit();
   if (!pair.ok()) {
     std::fprintf(stderr, "error: %s\n", pair.error().c_str());
     return 1;
@@ -1197,8 +1193,8 @@ anchord::Request wire_request(anchord::Verb verb,
 
 // anchorctl as a wire client: one request/response round trip through a
 // real AnchordServer session — framed codec, correlation ids, the works —
-// over an in-memory conduit or an AF_UNIX socketpair. The same four verbs
-// a deployed daemon serves; exit code is the response's ErrorKind.
+// over an AF_UNIX socketpair. The same four verbs a deployed daemon
+// serves; exit code is the response's ErrorKind.
 int cmd_daemon(int argc, char** argv) {
   // --snapshot as the first argument switches the store source from the
   // text grammar to an mmap'd snapshot image: the daemon's warm start
@@ -1282,10 +1278,7 @@ int cmd_daemon(int argc, char** argv) {
   backends.registry = &registry;
   anchord::AnchordServer server(backends, {}, registry);
 
-  const std::string transport =
-      flag_value(argc, argv, "--transport", "memory");
-  auto pair = transport == "unix" ? anchord::make_socketpair_conduit()
-                                  : anchord::make_memory_conduit();
+  auto pair = anchord::make_socketpair_conduit();
   if (!pair.ok()) {
     std::fprintf(stderr, "error: %s\n", pair.error().c_str());
     return 1;
@@ -1376,7 +1369,7 @@ int cmd_metrics(int argc, char** argv) {
     backends.service = &service;
     backends.store = &store.value();
     anchord::AnchordServer server(backends, {});
-    auto pair = anchord::make_memory_conduit();
+    auto pair = anchord::make_socketpair_conduit();
     if (!pair.ok()) {
       std::fprintf(stderr, "error: %s\n", pair.error().c_str());
       return 1;
